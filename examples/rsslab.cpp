@@ -15,11 +15,14 @@
 //   rsslab --variant reno --rtt 120 --duration 30
 //   rsslab --variant restricted --loss 0.001 --csv > run.csv
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 #include "scenario/cc_factories.hpp"
 #include "scenario/wan_path.hpp"
@@ -61,24 +64,35 @@ Args parse(int argc, char** argv) {
       if (++i >= argc) usage(argv[0]);
       return argv[i];
     };
+    // The whole argument must be a number: "--seed abc" and "--rtt 30ms"
+    // are usage errors, not 0 and 30.
+    auto number = [&](auto& out) {
+      const std::string_view text = value();
+      const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
+      if (ec != std::errc{} || end != text.data() + text.size()) {
+        std::fprintf(stderr, "%s: %s expects a number, got '%s'\n", argv[0], flag.c_str(),
+                     argv[i]);
+        usage(argv[0]);
+      }
+    };
     if (flag == "--variant") {
       a.variant = value();
     } else if (flag == "--rtt") {
-      a.rtt_ms = std::atoll(value());
+      number(a.rtt_ms);
     } else if (flag == "--ifq") {
-      a.ifq = static_cast<std::size_t>(std::atoll(value()));
+      number(a.ifq);
     } else if (flag == "--rate") {
-      a.rate_mbps = static_cast<std::uint64_t>(std::atoll(value()));
+      number(a.rate_mbps);
     } else if (flag == "--duration") {
-      a.duration_s = std::atoll(value());
+      number(a.duration_s);
     } else if (flag == "--loss") {
-      a.loss = std::atof(value());
+      number(a.loss);
     } else if (flag == "--jitter") {
-      a.jitter_ms = std::atoll(value());
+      number(a.jitter_ms);
     } else if (flag == "--cross") {
-      a.cross_mbps = std::atof(value());
+      number(a.cross_mbps);
     } else if (flag == "--seed") {
-      a.seed = static_cast<std::uint64_t>(std::atoll(value()));
+      number(a.seed);
     } else if (flag == "--csv") {
       a.csv = true;
     } else {

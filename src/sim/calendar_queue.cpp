@@ -8,7 +8,7 @@ namespace rss::sim {
 namespace {
 
 bool entry_before(const EventEntry& a, const EventEntry& b) {
-  // Shared with Scheduler::Later so both backends pop identically.
+  // Shared with Scheduler's heap so both backends pop identically.
   return event_entry_before(a, b);
 }
 
@@ -84,7 +84,7 @@ const EventEntry& CalendarQueue::peek_min() const {
 bool CalendarQueue::remove(Time at, Time birth, std::uint32_t origin, std::uint64_t seq) {
   if (size_ == 0) return false;
   auto& bucket = buckets_[bucket_of(at)];
-  const EventEntry probe{at, birth, seq, 0, 0, origin};
+  const EventEntry probe{at, birth, seq, 0, origin};
   const auto it = std::lower_bound(bucket.begin(), bucket.end(), probe, entry_before);
   if (it == bucket.end() || it->at != at || it->birth != birth || it->origin != origin ||
       it->seq != seq)

@@ -20,7 +20,7 @@ namespace rss::sim {
 /// origin, seq) vectors. The structure resizes (doubling/halving days,
 /// re-estimating width) when occupancy drifts outside [days/2, 2*days].
 ///
-/// The queue stores plain EventEntry handles — the same 40-byte POD the
+/// The queue stores plain EventEntry handles — the same 32-byte POD the
 /// heap backend pushes — so switching backends moves zero callback state
 /// and rebuilds during resize are flat memmoves, not std::function copies.
 /// This class is a priority-queue primitive (push/pop-min), deliberately

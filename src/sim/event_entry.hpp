@@ -8,11 +8,12 @@
 namespace rss::sim {
 
 /// One queued occurrence of a scheduled event — the single entry type both
-/// Scheduler backends (binary heap and CalendarQueue) store. It is a 40-byte
+/// Scheduler backends (4-ary heap and CalendarQueue) store. It is a 32-byte
 /// trivially-copyable handle: the callback itself lives in the Scheduler's
-/// slot arena, addressed by `slot` and validated by `gen` (a generation
-/// counter that detects stale entries left behind by lazy cancellation and
-/// slot reuse).
+/// slot arena, addressed by `slot`. Both backends cancel eagerly, so a
+/// queued entry always belongs to its slot's current event and needs no
+/// generation check; per-event bookkeeping (generation, heap position)
+/// lives in the slot, which keeps the entry small for the heap's sifts.
 ///
 /// Pop order is event_entry_before (below): (at, birth), then the hashed
 /// tagged streams, then the untagged stream in plain insertion order.
@@ -36,11 +37,11 @@ struct EventEntry {
   Time birth;
   std::uint64_t seq{0};
   std::uint32_t slot{0};
-  std::uint32_t gen{0};
   std::uint32_t origin{0};
 };
 
 static_assert(std::is_trivially_copyable_v<EventEntry>);
+static_assert(sizeof(EventEntry) == 32, "two entries per 64-byte cache line");
 
 /// splitmix64 finalizer over (origin, seq) — the tagged streams' tie key.
 /// A *fixed* per-node priority at same-(at, birth) ties would phase-lock

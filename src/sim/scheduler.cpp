@@ -1,5 +1,6 @@
 #include "sim/scheduler.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -46,7 +47,7 @@ EventId Scheduler::arm_with_rank(Time at, Time stride, std::uint64_t count, Call
   slot.remaining = count;
   slot.armed = true;
   ++live_;
-  push_entry(EventEntry{at, birth, slot.seq, index, slot.gen, origin});
+  push_entry(EventEntry{at, birth, slot.seq, index, origin});
   return EventId{index, slot.gen};
 }
 
@@ -57,6 +58,7 @@ std::uint32_t Scheduler::acquire_slot() {
     return index;
   }
   slots_.emplace_back();
+  heap_pos_.push_back(kNotQueued);
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
@@ -65,9 +67,9 @@ void Scheduler::release_slot(std::uint32_t index) {
   slot.cb = Callback{};
   slot.armed = false;
   slot.remaining = 0;
-  // Bump the generation so stale EventIds and lazily-cancelled heap entries
-  // referencing this slot can never match again. Generation 0 is reserved:
-  // EventId{slot 0, gen 0} would collide with the inert default id.
+  // Bump the generation so stale EventIds referencing this slot can never
+  // match again. Generation 0 is reserved: EventId{slot 0, gen 0} would
+  // collide with the inert default id.
   if (++slot.gen == 0) slot.gen = 1;
   free_slots_.push_back(index);
   --live_;
@@ -76,8 +78,48 @@ void Scheduler::release_slot(std::uint32_t index) {
 void Scheduler::push_entry(const EventEntry& entry) {
   if (backend_ == QueueBackend::kCalendarQueue) {
     calendar_.push(entry);
+    return;
+  }
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, entry);
+}
+
+void Scheduler::sift_up(std::size_t pos, EventEntry entry) {
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 4;
+    if (!event_entry_before(entry, heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
+  }
+  place(pos, entry);
+}
+
+void Scheduler::sift_down(std::size_t pos, EventEntry entry) {
+  const std::size_t size = heap_.size();
+  for (;;) {
+    const std::size_t first = 4 * pos + 1;
+    if (first >= size) break;
+    const std::size_t end = std::min(first + 4, size);
+    std::size_t best = first;
+    for (std::size_t child = first + 1; child < end; ++child) {
+      if (event_entry_before(heap_[child], heap_[best])) best = child;
+    }
+    if (!event_entry_before(heap_[best], entry)) break;
+    place(pos, heap_[best]);
+    pos = best;
+  }
+  place(pos, entry);
+}
+
+void Scheduler::heap_erase(std::size_t pos) {
+  heap_pos_[heap_[pos].slot] = kNotQueued;
+  const EventEntry last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;  // the hole was the last position
+  if (pos > 0 && event_entry_before(last, heap_[(pos - 1) / 4])) {
+    sift_up(pos, last);
   } else {
-    heap_.push(entry);
+    sift_down(pos, last);
   }
 }
 
@@ -87,32 +129,23 @@ bool Scheduler::cancel(EventId id) {
   if (index >= slots_.size()) return false;
   Slot& slot = slots_[index];
   if (!slot.armed || slot.gen != id.gen()) return false;
+  // Either removal may find nothing when a train's current occurrence is
+  // mid-flight (popped, callback executing): releasing the slot below is
+  // what stops the train from re-enqueueing.
   if (backend_ == QueueBackend::kCalendarQueue) {
-    // May find nothing when a train's current occurrence is mid-flight
-    // (popped, callback executing): releasing the slot below is what stops
-    // the train from re-enqueueing.
     (void)calendar_.remove(slot.at, slot.birth, slot.origin, slot.seq);
+  } else if (heap_pos_[index] != kNotQueued) {
+    heap_erase(heap_pos_[index]);
   }
   release_slot(index);
-  if (backend_ == QueueBackend::kBinaryHeap) skim_dead_heap_top();
   return true;
-}
-
-void Scheduler::skim_dead_heap_top() {
-  while (!heap_.empty()) {
-    const EventEntry& top = heap_.top();
-    const Slot& slot = slots_[top.slot];
-    if (slot.armed && slot.gen == top.gen) break;
-    heap_.pop();
-  }
 }
 
 Time Scheduler::next_event_time() const {
   if (backend_ == QueueBackend::kCalendarQueue) {
     return calendar_.empty() ? Time::infinity() : calendar_.peek_min().at;
   }
-  // Heap-top invariant: skims at cancel/pop boundaries guarantee a live top.
-  return heap_.empty() ? Time::infinity() : heap_.top().at;
+  return heap_.empty() ? Time::infinity() : heap_.front().at;
 }
 
 bool Scheduler::step() {
@@ -123,23 +156,24 @@ bool Scheduler::step() {
     entry = calendar_.pop_min();
   } else {
     if (heap_.empty()) return false;
-    entry = heap_.top();
-    heap_.pop();
-    skim_dead_heap_top();
+    entry = heap_.front();
+    heap_erase(0);
   }
   now_ = entry.at;
   ++executed_;
   // Move the callback out of the arena before invoking it: the callback may
   // schedule (growing slots_ and relocating every Slot) or cancel, and must
   // never execute out of storage that can move underneath it.
-  Callback cb = std::move(slots_[entry.slot].cb);
-  const bool last = slots_[entry.slot].remaining <= 1;
+  Slot& fired = slots_[entry.slot];
+  Callback cb = std::move(fired.cb);
+  const std::uint32_t gen = fired.gen;
+  const bool last = fired.remaining <= 1;
   if (last) {
     // Freed before the callback runs, so cancel(own id) from inside the
     // final firing reports false — the event is no longer pending.
     release_slot(entry.slot);
   } else {
-    --slots_[entry.slot].remaining;
+    --fired.remaining;
   }
   cb();
   if (!last) {
@@ -148,12 +182,12 @@ bool Scheduler::step() {
     // pattern trains replace, which also sequenced each next event at the
     // previous firing — so pop order is byte-identical.
     Slot& slot = slots_[entry.slot];
-    if (slot.armed && slot.gen == entry.gen) {
+    if (slot.armed && slot.gen == gen) {
       slot.cb = std::move(cb);
       slot.at = entry.at + slot.stride;
       slot.birth = now_;  // re-enqueued at fire time, like the chained pattern
       slot.seq = draw_rank(slot.origin);
-      push_entry(EventEntry{slot.at, slot.birth, slot.seq, entry.slot, slot.gen, slot.origin});
+      push_entry(EventEntry{slot.at, slot.birth, slot.seq, entry.slot, slot.origin});
     }
   }
   return true;

@@ -79,6 +79,34 @@ TEST_P(AllocGuardBackends, SteadyStateScheduleCancelRescheduleIsAllocFree) {
   EXPECT_EQ(s.arena_slots(), warm_slots) << "slot arena grew in steady state";
 }
 
+/// Cancel-heavy storm: 64 timers stay armed while each is cancelled and
+/// re-armed earlier, with no pops in between. A queue that cancels lazily
+/// keeps every cancelled entry and must keep growing; an eager one holds
+/// exactly the 64 live entries, so a warm round allocates nothing.
+TEST_P(AllocGuardBackends, SteadyStateCancelStormWithoutPopsIsAllocFree) {
+  Scheduler s{GetParam()};
+  std::vector<EventId> timers(64);
+  std::int64_t deadline_ns = 1'000'000'000;
+  auto round = [&] {
+    for (int i = 0; i < 4000; ++i) {
+      EventId& timer = timers[static_cast<std::size_t>(i) % timers.size()];
+      if (timer.valid()) {
+        ASSERT_TRUE(s.cancel(timer));
+      }
+      timer = s.schedule_at(Time::nanoseconds(--deadline_ns), [] {});
+    }
+    ASSERT_EQ(s.pending(), timers.size());
+    ASSERT_EQ(s.queued_entries(), timers.size());
+  };
+  round();  // warm-up: arena + queue storage growth
+
+  const alloc_guard::AllocScope scope;
+  round();
+  EXPECT_EQ(scope.allocations(), 0u)
+      << "steady-state cancel storm allocated " << scope.allocations() << " times ("
+      << scope.bytes() << " bytes)";
+}
+
 TEST_P(AllocGuardBackends, SteadyStateTrainPopLoopIsAllocFree) {
   Scheduler s{GetParam()};
   std::uint64_t fired = 0;

@@ -1,4 +1,4 @@
-// Backend parity: the binary-heap and calendar-queue Scheduler backends
+// Backend parity: the heap and calendar-queue Scheduler backends
 // must be observationally identical — same execution order, same now() at
 // every callback, same events_executed(), same cancel() results — for any
 // event script a simulation can produce. The script below mixes bulk

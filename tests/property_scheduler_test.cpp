@@ -1,13 +1,16 @@
 // Property suite for the event core: randomized schedules must execute in
-// exact (time, insertion) order under both the binary-heap Scheduler and
+// exact (time, insertion) order under both the heap Scheduler and
 // the CalendarQueue, and the two structures must agree item for item.
 // Also covers the allocation-free machinery underneath: slot-arena reuse
 // under reschedule storms, and schedule_train equivalence with chained
-// one-shot scheduling.
+// one-shot scheduling. A lockstep reference model drives every scheduling
+// surface (ranked, imported, trains, cancels from anywhere) against both
+// backends and checks each firing against event_entry_before.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "sim/calendar_queue.hpp"
@@ -172,7 +175,7 @@ TEST_P(RandomScheduleTest, CalendarQueueAgreesWithHeapOrder) {
   for (std::size_t i = 0; i < plan.events; ++i) {
     const Time at = Time::nanoseconds(static_cast<std::int64_t>(
         rng.next_in(0, static_cast<std::uint64_t>(plan.horizon_ns))));
-    const EventEntry entry{at, Time::zero(), i, static_cast<std::uint32_t>(i), 1};
+    const EventEntry entry{at, Time::zero(), i, static_cast<std::uint32_t>(i)};
     entries.push_back(entry);
     cal.push(entry);
   }
@@ -208,7 +211,7 @@ TEST_P(RandomScheduleTest, CalendarQueueInterleavedPushPop) {
     for (std::uint64_t b = 0; b < burst; ++b) {
       const Time at = now + Time::nanoseconds(static_cast<std::int64_t>(
                                 rng.next_in(0, 1'000'000)));
-      cal.push(EventEntry{at, Time::zero(), seq++, 0, 1});
+      cal.push(EventEntry{at, Time::zero(), seq++, 0});
     }
     if (!cal.empty() && rng.next_bool(0.7)) {
       const auto entry = cal.pop_min();
@@ -239,11 +242,181 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.events);
     });
 
+// Lockstep reference model: every schedule, cancel and firing is mirrored
+// into a plain vector of live events, and each step() must fire the model's
+// event_entry_before minimum at its time. The script mixes every scheduling
+// surface — untagged, origin-ranked and imported events, trains — with
+// cancels from the middle and the last queue position, from inside
+// callbacks, of stale ids, and of a train from inside its own firing (its
+// occurrence is then off the queue, so the cancel must not disturb any
+// queued entry). Between steps the queue must hold exactly the live events.
+class LockstepModel {
+ public:
+  LockstepModel(QueueBackend backend, std::uint64_t seed) : s_{backend}, rng_{seed} {
+    s_.reserve_origins(kOrigins);
+  }
+
+  /// Labels in firing order.
+  std::vector<std::uint32_t> run(std::size_t operations) {
+    for (std::size_t i = 0; i < operations && ok(); ++i) {
+      random_op();
+      if (rng_.next_bool(0.5) && !live_.empty()) step();
+    }
+    while (ok() && !live_.empty()) step();
+    EXPECT_TRUE(s_.empty());
+    EXPECT_EQ(s_.queued_entries(), 0u);
+    return fired_;
+  }
+
+ private:
+  static constexpr std::uint32_t kOrigins = 4;
+
+  struct Live {
+    EventEntry key;  // `slot` holds the event's label
+    EventId id;
+    Time stride;
+    std::uint64_t remaining;
+  };
+
+  static bool ok() { return !::testing::Test::HasFailure(); }
+
+  Time near_future() {
+    // A 2 us spread over thousands of events forces (at, birth) ties.
+    return s_.now() + Time::nanoseconds(static_cast<std::int64_t>(rng_.next_in(0, 2'000)));
+  }
+
+  void schedule(std::uint64_t kind, Time at) {
+    const auto label = next_label_++;
+    const Time birth = s_.now();
+    auto cb = [this, label] { on_fire(label); };
+    Live live{EventEntry{at, birth, 0, label, 0}, EventId{}, Time::zero(), 1};
+    if (kind == 0) {
+      live.key.seq = next_rank_[0]++;
+      live.id = s_.schedule_at(at, cb);
+    } else if (kind == 1) {
+      live.key.origin = static_cast<std::uint32_t>(rng_.next_in(1, kOrigins - 1));
+      live.key.seq = next_rank_[live.key.origin]++;
+      live.id = s_.schedule_at_ranked(live.key.origin, at, cb);
+    } else if (kind == 2) {
+      // A cross-partition delivery: rank drawn up front, born in the past.
+      live.key.origin = static_cast<std::uint32_t>(rng_.next_in(1, kOrigins - 1));
+      live.key.seq = s_.draw_rank(live.key.origin);
+      EXPECT_EQ(live.key.seq, next_rank_[live.key.origin]++);
+      live.key.birth = Time::nanoseconds(
+          static_cast<std::int64_t>(rng_.next_in(0, static_cast<std::uint64_t>(
+                                                        birth.nanoseconds_count()))));
+      live.id = s_.schedule_at_imported(live.key.origin, live.key.seq, live.key.birth, at, cb);
+    } else {
+      live.key.seq = next_rank_[0]++;
+      live.stride = Time::nanoseconds(static_cast<std::int64_t>(rng_.next_in(0, 1'500)));
+      live.remaining = rng_.next_in(2, 6);
+      live.id = s_.schedule_train(at, live.stride, live.remaining, cb);
+    }
+    live_.push_back(live);
+  }
+
+  void cancel_live(std::size_t index) {
+    EXPECT_TRUE(s_.cancel(live_[index].id));
+    dead_.push_back(live_[index].id);
+    live_[index] = live_.back();
+    live_.pop_back();
+  }
+
+  void cancel_stale() {
+    if (dead_.empty()) return;
+    EXPECT_FALSE(s_.cancel(dead_[rng_.next_in(0, dead_.size() - 1)]));
+  }
+
+  void random_op() {
+    const auto op = rng_.next_in(0, 6);
+    if (op <= 3) {
+      schedule(op, near_future());
+    } else if (op == 4 && !live_.empty()) {
+      cancel_live(rng_.next_in(0, live_.size() - 1));  // usually mid-queue
+    } else if (op == 5) {
+      // Latest event in the queue, so it sits at the last heap position.
+      schedule(0, s_.now() + Time::seconds(1) + Time::nanoseconds(next_label_));
+      cancel_live(live_.size() - 1);
+    } else {
+      cancel_stale();
+    }
+  }
+
+  void step() {
+    const auto min = std::min_element(
+        live_.begin(), live_.end(),
+        [](const Live& a, const Live& b) { return event_entry_before(a.key, b.key); });
+    in_flight_ = *min;
+    *min = live_.back();
+    live_.pop_back();
+    in_flight_cancelled_ = false;
+    EXPECT_EQ(s_.next_event_time(), in_flight_.key.at);
+
+    const std::size_t fired_before = fired_.size();
+    EXPECT_TRUE(s_.step());
+    EXPECT_EQ(fired_.size(), fired_before + 1) << "expected label " << in_flight_.key.slot;
+
+    if (in_flight_.remaining > 1 && !in_flight_cancelled_) {
+      // The train re-enqueues after its callback returns, drawing its rank
+      // after any the callback drew.
+      Live next = in_flight_;
+      next.key.at = in_flight_.key.at + in_flight_.stride;
+      next.key.birth = s_.now();
+      next.key.seq = next_rank_[0]++;
+      --next.remaining;
+      live_.push_back(next);
+    } else if (!in_flight_cancelled_) {
+      dead_.push_back(in_flight_.id);
+    }
+    EXPECT_EQ(s_.pending(), live_.size());
+    EXPECT_EQ(s_.queued_entries(), live_.size());
+  }
+
+  void on_fire(std::uint32_t label) {
+    fired_.push_back(label);
+    EXPECT_EQ(label, in_flight_.key.slot) << "firing " << fired_.size();
+    EXPECT_EQ(s_.now(), in_flight_.key.at);
+    if (rng_.next_bool(0.3)) schedule(rng_.next_in(0, 3), near_future());
+    if (rng_.next_bool(0.2) && !live_.empty()) cancel_live(rng_.next_in(0, live_.size() - 1));
+    if (rng_.next_bool(0.05)) cancel_stale();
+    if (in_flight_.remaining > 1 && rng_.next_bool(0.2)) {
+      // Self-cancel mid-train; a schedule right after reuses the freed slot,
+      // which the train's continuation must not mistake for itself.
+      EXPECT_TRUE(s_.cancel(in_flight_.id));
+      in_flight_cancelled_ = true;
+      dead_.push_back(in_flight_.id);
+      if (rng_.next_bool(0.5)) schedule(0, near_future());
+    } else if (in_flight_.remaining == 1 && rng_.next_bool(0.2)) {
+      EXPECT_FALSE(s_.cancel(in_flight_.id));  // last firing: nothing left to cancel
+    }
+  }
+
+  Scheduler s_;
+  Rng rng_;
+  std::vector<Live> live_;
+  std::vector<EventId> dead_;
+  std::vector<std::uint64_t> next_rank_ = std::vector<std::uint64_t>(kOrigins, 1);
+  std::vector<std::uint32_t> fired_;
+  Live in_flight_{};
+  bool in_flight_cancelled_{false};
+  std::uint32_t next_label_{0};
+};
+
+TEST_P(RandomScheduleTest, LockstepModelMatchesBothBackends) {
+  const auto plan = GetParam();
+  const auto heap = LockstepModel{QueueBackend::kBinaryHeap, plan.seed}.run(plan.events);
+  ASSERT_FALSE(HasFailure()) << "heap backend diverged from the model";
+  const auto cal = LockstepModel{QueueBackend::kCalendarQueue, plan.seed}.run(plan.events);
+  ASSERT_FALSE(HasFailure()) << "calendar backend diverged from the model";
+  EXPECT_EQ(heap, cal);
+  EXPECT_GT(heap.size(), plan.events / 2);
+}
+
 TEST(CalendarQueueTest, ResizesUnderLoad) {
   CalendarQueue cal{16, Time::microseconds(1)};
   for (std::uint64_t i = 0; i < 1000; ++i) {
     cal.push(EventEntry{Time::nanoseconds(static_cast<std::int64_t>(i * 137 % 100000)),
-                        Time::zero(), i, static_cast<std::uint32_t>(i), 1});
+                        Time::zero(), i, static_cast<std::uint32_t>(i)});
   }
   EXPECT_GT(cal.resizes(), 0u);
   EXPECT_GT(cal.day_count(), 16u);
@@ -257,9 +430,9 @@ TEST(CalendarQueueTest, ResizesUnderLoad) {
 
 TEST(CalendarQueueTest, RejectsPastPushAndEmptyPop) {
   CalendarQueue cal;
-  cal.push(EventEntry{Time::milliseconds(5), Time::zero(), 1, 0, 1});
+  cal.push(EventEntry{Time::milliseconds(5), Time::zero(), 1, 0});
   (void)cal.pop_min();
-  EXPECT_THROW(cal.push(EventEntry{Time::milliseconds(1), Time::zero(), 2, 0, 1}),
+  EXPECT_THROW(cal.push(EventEntry{Time::milliseconds(1), Time::zero(), 2, 0}),
                std::invalid_argument);
   EXPECT_THROW((void)cal.pop_min(), std::logic_error);
 }

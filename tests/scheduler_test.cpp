@@ -180,6 +180,30 @@ TEST(SchedulerTest, ArenaStaysFlatUnderRescheduleStorm) {
   }
 }
 
+TEST(SchedulerTest, CancelLeavesNoDeadEntriesInTheQueue) {
+  // Eager cancellation: a cancelled event leaves the queue at once. Each
+  // re-arm lands earlier than the timer it replaces (the RTO shrinking as
+  // RTT samples come in) and happens before the old timer is cancelled, so
+  // every cancelled entry sits below the live top — where a lazily-
+  // cancelling queue would keep all 10k of them until their times came
+  // round.
+  for (const auto backend : {QueueBackend::kBinaryHeap, QueueBackend::kCalendarQueue}) {
+    Scheduler s{backend};
+    EventId rto = s.schedule_at(200_ms, [] {});
+    for (int i = 1; i < 10'000; ++i) {
+      const EventId rearmed = s.schedule_at(200_ms - Time::nanoseconds(i), [] {});
+      ASSERT_TRUE(s.cancel(rto));
+      rto = rearmed;
+      ASSERT_EQ(s.pending(), 1u);
+      ASSERT_EQ(s.queued_entries(), 1u) << "after " << i << " re-arms";
+    }
+    EXPECT_EQ(s.next_event_time(), 200_ms - Time::nanoseconds(9'999));
+    s.run();
+    EXPECT_EQ(s.events_executed(), 1u);
+    EXPECT_EQ(s.queued_entries(), 0u);
+  }
+}
+
 TEST(SimulationTest, TrainForwardsToScheduler) {
   Simulation sim;
   int fires = 0;
