@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -219,8 +220,10 @@ SmokeResult smoke_parkinglot(sim::QueueBackend backend, double budget_seconds) {
 /// four small per-partition queues instead of one large one, per-partition
 /// backend auto-selection, window-sized working sets, and — on multicore —
 /// actual parallelism. bench_scale regressions therefore catch both engine
-/// slowdowns and partitioning-quality losses.
-SmokeResult smoke_scale(std::size_t partitions, double budget_seconds) {
+/// slowdowns and partitioning-quality losses. `backend` pins the queue
+/// backend instead of the auto choice, to separate the two.
+SmokeResult smoke_scale(std::size_t partitions, double budget_seconds,
+                        std::optional<sim::QueueBackend> backend = std::nullopt) {
   SmokeResult r;
   const auto t0 = std::chrono::steady_clock::now();
   while (r.seconds < budget_seconds) {
@@ -230,6 +233,7 @@ SmokeResult smoke_scale(std::size_t partitions, double budget_seconds) {
     cfg.cross_flows_per_segment = 5;
     scenario::TopologySpec spec = scenario::ScaleMesh::make_spec(cfg);
     spec.execution.partitions = partitions;
+    spec.execution.backend = backend;
     auto s = scenario::ScenarioBuilder{spec}.build(scenario::make_reno_factory());
     for (std::size_t i = 0; i < spec.flows.size(); ++i)
       s->start_flow(i, sim::Time::zero());
@@ -361,6 +365,11 @@ int run_smoke(const std::vector<std::string>& args) {
     std::cout << "scale_mesh partitions_4 / partitions_1 speedup: "
               << parted / serial << "x\n";
   }
+  // This mesh auto-selects the calendar queue on one partition; the pinned
+  // heap run tells how much of that speedup is the backend, not the
+  // partitioning.
+  rows.push_back({"scale_mesh", "partitions_1_heap",
+                  smoke_scale(1, budget, sim::QueueBackend::kBinaryHeap)});
   // bench_fluid: the hybrid fluid/packet engine. The headline number is the
   // wall-time ratio — how much faster the same simulated horizon completes
   // once the heavy cross traffic is fluidized.

@@ -241,6 +241,10 @@ HOTPATH_FILES = (
     "src/sim/partition.cpp",
     "src/net/cross_link.hpp",
     "src/net/cross_link.cpp",
+    # Every packet crosses a link wire (transmit -> ring -> head delivery);
+    # alloc_guard_test asserts a warm wire delivers with zero allocations.
+    "src/net/link.hpp",
+    "src/net/link.cpp",
     # The fluid integrator ticks once per stride for the whole run; its
     # sources/couplings/driver (net/fluid.*) and the queue coupling surface
     # it drives (net/queue.hpp) are steady-state hot path too.

@@ -10,38 +10,27 @@ namespace rss::net {
 CrossPartitionLink::CrossPartitionLink(sim::Simulation& sim_a, sim::Simulation& sim_b,
                                        sim::Time delay, sim::HandoffChannel& a_to_b,
                                        sim::HandoffChannel& b_to_a)
-    : PointToPointLink(sim_a, delay) {
+    : PointToPointLink(sim_a, sim_b, delay), sim_b_{sim_b}, a_to_b_{a_to_b}, b_to_a_{b_to_a} {
   if (delay < sim::Time::nanoseconds(1))
     throw std::invalid_argument(
         "CrossPartitionLink: a cross-partition link needs nonzero latency (it bounds the "
         "conservative lookahead window)");
-  a_to_b_.src_sim = &sim_a;
-  a_to_b_.channel = &a_to_b;
-  a_to_b_.endpoint.sim = &sim_b;
-  a_to_b_.endpoint.link = this;
-  a_to_b_.endpoint.toward_b = true;
-  b_to_a_.src_sim = &sim_b;
-  b_to_a_.channel = &b_to_a;
-  b_to_a_.endpoint.sim = &sim_a;
-  b_to_a_.endpoint.link = this;
-  b_to_a_.endpoint.toward_b = false;
 }
 
 void CrossPartitionLink::transmit_from(const NetDevice& sender, const Packet& p) {
-  if (!end_a_ || !end_b_) throw std::logic_error("CrossPartitionLink: not attached");
-  if (&sender != end_a_ && &sender != end_b_)
-    throw std::logic_error("CrossPartitionLink: transmit from non-endpoint");
-  Direction& dir = (&sender == end_a_) ? a_to_b_ : b_to_a_;
-  const sim::Time staged_at = dir.src_sim->now();
+  Wire& wire = wire_from(sender);
+  const bool from_a = &sender == end_a_;
+  sim::Simulation& src = from_a ? sim_ : sim_b_;
+  const sim::Time staged_at = src.now();
   const sim::Time deliver_at = staged_at + delay();
   // The tie-break rank is drawn from the *source* scheduler's counter for
   // the sending node at transmit time — exactly the rank a single shared
   // scheduler would have assigned this delivery — and travels with the
-  // payload so the drain can arm it unchanged on the destination.
+  // payload so the drain can put it on the destination's wire unchanged.
   const std::uint32_t origin = sender.event_origin();
-  const std::uint64_t rank = dir.src_sim->scheduler().draw_rank(origin);
-  dir.channel->stage(deliver_at, staged_at, origin, rank, &dir.endpoint,
-                     &CrossPartitionLink::deliver_staged, p);
+  const std::uint64_t rank = src.scheduler().draw_rank(origin);
+  sim::HandoffChannel& channel = from_a ? a_to_b_ : b_to_a_;
+  channel.stage(deliver_at, staged_at, origin, rank, &wire, &deliver_staged, p);
 }
 
 void CrossPartitionLink::set_loss_rate(double, sim::Rng) {
@@ -57,39 +46,16 @@ void CrossPartitionLink::set_jitter(sim::Time, sim::Rng) {
       "partition");
 }
 
-std::uint64_t CrossPartitionLink::packets_delivered() const {
-  return a_to_b_.endpoint.delivered + b_to_a_.endpoint.delivered;
-}
-
 void CrossPartitionLink::deliver_staged(void* endpoint, const std::byte* payload,
                                         sim::Time deliver_at, sim::Time staged_at,
                                         std::uint32_t origin, std::uint64_t rank) {
-  auto* ep = static_cast<Endpoint*>(endpoint);
-  std::uint32_t slot;
-  if (ep->free_slots.empty()) {
-    slot = static_cast<std::uint32_t>(ep->arena.size());
-    ep->arena.emplace_back();
-  } else {
-    slot = ep->free_slots.back();
-    ep->free_slots.pop_back();
-  }
-  std::memcpy(&ep->arena[slot], payload, sizeof(Packet));
-  const auto deliver = [ep, slot] {
-    // Copy out before releasing: deliver_up can cascade into another
-    // transmit whose drain later claims the freed slot.
-    const Packet arrived = ep->arena[slot];
-    ep->free_slots.push_back(slot);
-    ++ep->delivered;
-    NetDevice* dev = ep->toward_b ? ep->link->end_b_ : ep->link->end_a_;
-    dev->deliver_up(arrived);
-  };
-  static_assert(sizeof(deliver) <= sim::InlineCallback::kCapacity,
-                "cross-partition delivery callback must stay inline");
+  Packet p;
+  std::memcpy(&p, payload, sizeof(Packet));
   // staged_at (the source's transmit clock) becomes the birth time and the
   // staged (origin, rank) pair the intrinsic tie-break: a same-timestamp
   // race between this delivery and any other event then resolves exactly
   // as it would in a single-scheduler run, regardless of drain order.
-  ep->sim->at_imported(origin, rank, staged_at, deliver_at, deliver);
+  static_cast<Wire*>(endpoint)->push(p, deliver_at, staged_at, origin, rank);
 }
 
 }  // namespace rss::net

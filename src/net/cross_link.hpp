@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "net/link.hpp"
 #include "net/packet.hpp"
@@ -13,13 +12,13 @@
 namespace rss::net {
 
 /// A point-to-point link whose endpoints live in different partitions of a
-/// PartitionedEngine. Instead of scheduling the delivery directly (the
-/// peer's scheduler belongs to another thread mid-window), transmit_from
-/// stages the packet into the engine's HandoffChannel for this direction;
-/// the engine's drain phase then parks the packet in a destination-side
-/// arena and schedules the delivery on the destination partition's
-/// scheduler. Conservative lookahead guarantees the delivery time is
-/// beyond the current window, so staging never reorders anything.
+/// PartitionedEngine. Instead of pushing the packet onto the destination's
+/// wire directly (that wire and its scheduler belong to another thread
+/// mid-window), transmit_from stages the packet into the engine's
+/// HandoffChannel for this direction; the engine's drain phase then pushes
+/// it onto the wire with the key drawn at transmit, so both link kinds
+/// share one delivery path. Conservative lookahead guarantees the delivery
+/// time is beyond the current window, so staging never reorders anything.
 ///
 /// Devices and experiments see the ordinary PointToPointLink surface.
 /// Loss and jitter are unsupported across partitions (both draw from an
@@ -39,40 +38,15 @@ class CrossPartitionLink final : public PointToPointLink {
   [[noreturn]] void set_loss_rate(double p, sim::Rng rng) override;
   [[noreturn]] void set_jitter(sim::Time max_jitter, sim::Rng rng) override;
 
-  /// Stats are summed over both directions; read them between runs (the
-  /// counters live on two different partition threads during a window).
-  [[nodiscard]] std::uint64_t packets_delivered() const override;
-  [[nodiscard]] std::uint64_t packets_lost() const override { return 0; }
-
  private:
-  /// Destination-side state: touched only by the destination partition's
-  /// worker (engine drain phase + delivery events), so it needs no
-  /// synchronization. The arena parks packets between drain and delivery,
-  /// keeping the delivery closure within the inline-callback budget.
-  struct Endpoint {
-    sim::Simulation* sim{nullptr};
-    CrossPartitionLink* link{nullptr};
-    bool toward_b{false};  ///< deliver to end_b_ (a->b direction)?
-    std::vector<Packet> arena;
-    std::vector<std::uint32_t> free_slots;
-    std::uint64_t delivered{0};
-  };
-
-  /// One transmit direction: source-side channel plus destination-side
-  /// endpoint.
-  struct Direction {
-    sim::Simulation* src_sim{nullptr};
-    sim::HandoffChannel* channel{nullptr};
-    Endpoint endpoint;
-  };
-
   /// sim::HandoffDeliverFn invoked by the engine's drain phase on the
-  /// destination partition's thread.
+  /// destination partition's thread; `endpoint` is the destination's Wire.
   static void deliver_staged(void* endpoint, const std::byte* payload, sim::Time deliver_at,
                              sim::Time staged_at, std::uint32_t origin, std::uint64_t rank);
 
-  Direction a_to_b_;
-  Direction b_to_a_;
+  sim::Simulation& sim_b_;
+  sim::HandoffChannel& a_to_b_;
+  sim::HandoffChannel& b_to_a_;
 };
 
 }  // namespace rss::net

@@ -1,13 +1,18 @@
 #include "net/link.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "net/device.hpp"
 
 namespace rss::net {
 
 PointToPointLink::PointToPointLink(sim::Simulation& simulation, sim::Time propagation_delay)
-    : sim_{simulation}, delay_{propagation_delay} {
+    : PointToPointLink(simulation, simulation, propagation_delay) {}
+
+PointToPointLink::PointToPointLink(sim::Simulation& sim_a, sim::Simulation& sim_b,
+                                   sim::Time propagation_delay)
+    : sim_{sim_a}, delay_{propagation_delay}, to_a_{sim_a}, to_b_{sim_b} {
   if (propagation_delay.is_negative())
     throw std::invalid_argument("PointToPointLink: negative delay");
 }
@@ -16,6 +21,8 @@ void PointToPointLink::attach(NetDevice& a, NetDevice& b) {
   if (end_a_ || end_b_) throw std::logic_error("PointToPointLink: already attached");
   end_a_ = &a;
   end_b_ = &b;
+  to_a_.connect(a);
+  to_b_.connect(b);
   a.attach_link(this);
   b.attach_link(this);
 }
@@ -33,44 +40,81 @@ void PointToPointLink::set_jitter(sim::Time max_jitter, sim::Rng rng) {
   jitter_rng_ = rng;
 }
 
-void PointToPointLink::transmit_from(const NetDevice& sender, const Packet& p) {
+PointToPointLink::Wire& PointToPointLink::wire_from(const NetDevice& sender) {
   if (!end_a_ || !end_b_) throw std::logic_error("PointToPointLink: not attached");
-  NetDevice* peer = (&sender == end_a_) ? end_b_ : end_a_;
-  if (&sender != end_a_ && &sender != end_b_)
-    throw std::logic_error("PointToPointLink: transmit from non-endpoint");
+  if (&sender == end_a_) return to_b_;
+  if (&sender == end_b_) return to_a_;
+  throw std::logic_error("PointToPointLink: transmit from non-endpoint");
+}
 
+void PointToPointLink::transmit_from(const NetDevice& sender, const Packet& p) {
+  Wire& wire = wire_from(sender);
   if (loss_rate_ > 0.0 && loss_rng_.next_bool(loss_rate_)) {
     ++lost_;
     return;
   }
-  ++delivered_;
   sim::Time delay = delay_;
   if (max_jitter_ > sim::Time::zero()) {
     delay += max_jitter_ * jitter_rng_.next_double();
   }
-  std::uint32_t slot;
-  if (free_in_flight_.empty()) {
-    slot = static_cast<std::uint32_t>(in_flight_.size());
-    in_flight_.push_back(p);
-  } else {
-    slot = free_in_flight_.back();
-    free_in_flight_.pop_back();
-    in_flight_[slot] = p;
-  }
-  const auto deliver = [this, peer, slot] {
-    // Copy out before releasing: deliver_up can cascade into another
-    // transmit on this link, which may claim the freed slot immediately.
-    const Packet arrived = in_flight_[slot];
-    free_in_flight_.push_back(slot);
-    peer->deliver_up(arrived);
-  };
-  static_assert(sizeof(deliver) <= sim::InlineCallback::kCapacity,
-                "delivery callback must stay inline on the scheduler hot path");
   // Ranked by the sending device's origin so same-timestamp deliveries
   // order intrinsically (node, per-node rank) — the key a CrossPartitionLink
   // carries across partitions; both link kinds must draw from the same
   // per-origin counters for sequential/partitioned pop-order parity.
-  sim_.in_ranked(sender.event_origin(), delay, deliver);
+  const std::uint32_t origin = sender.event_origin();
+  const sim::Time now = sim_.now();
+  wire.push(p, now + delay, now, origin, sim_.scheduler().draw_rank(origin));
+}
+
+void PointToPointLink::Wire::push(const Packet& p, sim::Time at, sim::Time birth,
+                                  std::uint32_t origin, std::uint64_t rank) {
+  if (size_ == ring_.size()) grow();
+  // Insert from the back. Without jitter every packet lands there; jitter
+  // (or an exact-time tie broken by the origin hash) can carry it forward.
+  const InFlight fresh{sim::EventEntry{at, birth, rank, 0, origin}, p};
+  std::size_t pos = size_;
+  while (pos > 0 && sim::event_entry_before(fresh.key, nth(pos - 1).key)) {
+    nth(pos) = nth(pos - 1);
+    --pos;
+  }
+  nth(pos) = fresh;
+  ++size_;
+  if (pos == 0) {
+    // A new head: it overtook the armed one (if any), whose key goes back
+    // to waiting its turn in the ring.
+    sim_->cancel(armed_);
+    arm_head();
+  }
+}
+
+void PointToPointLink::Wire::grow() {
+  std::vector<InFlight> bigger(ring_.empty() ? 16 : 2 * ring_.size());
+  for (std::size_t i = 0; i < size_; ++i) bigger[i] = nth(i);
+  ring_ = std::move(bigger);
+  head_ = 0;
+}
+
+void PointToPointLink::Wire::arm_head() {
+  const sim::EventEntry& key = nth(0).key;
+  const auto deliver = [this] { fire(); };
+  static_assert(sizeof(deliver) <= sim::InlineCallback::kCapacity,
+                "wire delivery callback must stay inline on the scheduler hot path");
+  armed_ = sim_->at_imported(key.origin, key.seq, key.birth, key.at, deliver);
+}
+
+void PointToPointLink::Wire::fire() {
+  // Copy out before popping: deliver_up can cascade into a transmit onto
+  // this wire, which may reuse (or, growing, reallocate) the head's cell.
+  const Packet arrived = nth(0).packet;
+  head_ = (head_ + 1) & (ring_.size() - 1);
+  --size_;
+  ++delivered_;
+  if (size_ > 0) {
+    arm_head();
+  } else {
+    armed_ = sim::EventId{};
+  }
+  to_->deliver_up(arrived);
 }
 
 }  // namespace rss::net

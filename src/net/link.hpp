@@ -1,9 +1,11 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "net/packet.hpp"
+#include "sim/event_entry.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
@@ -19,8 +21,9 @@ class NetDevice;
 ///
 /// The transmit/config entry points are virtual so a link can span two
 /// partitions (CrossPartitionLink stages deliveries through the partition
-/// engine instead of scheduling directly); devices and experiments keep
-/// talking to the concrete PointToPointLink surface either way.
+/// engine instead of pushing them onto the wire directly); devices and
+/// experiments keep talking to the concrete PointToPointLink surface
+/// either way.
 class PointToPointLink {
  public:
   PointToPointLink(sim::Simulation& simulation, sim::Time propagation_delay);
@@ -46,10 +49,77 @@ class PointToPointLink {
   virtual void set_jitter(sim::Time max_jitter, sim::Rng rng);
 
   [[nodiscard]] sim::Time delay() const { return delay_; }
-  [[nodiscard]] virtual std::uint64_t packets_delivered() const { return delivered_; }
-  [[nodiscard]] virtual std::uint64_t packets_lost() const { return lost_; }
+  /// Packets handed to an endpoint, summed over both directions. Every
+  /// transmitted packet is exactly one of delivered, lost or in flight.
+  /// A CrossPartitionLink's two directions run on different partition
+  /// threads, so read its counters between runs.
+  [[nodiscard]] std::uint64_t packets_delivered() const {
+    return to_a_.delivered() + to_b_.delivered();
+  }
+  [[nodiscard]] std::uint64_t packets_lost() const { return lost_; }
+  /// Packets transmitted but not yet delivered, summed over both
+  /// directions.
+  [[nodiscard]] std::size_t packets_in_flight() const { return to_a_.size() + to_b_.size(); }
 
  protected:
+  /// One direction's in-flight packets. A fixed-delay direction is FIFO, so
+  /// only its earliest delivery needs to be in the scheduler's queue (as in
+  /// htsim's Pipe): the wire keeps the packets in a ring sorted by the
+  /// scheduler key each would have been armed with on its own, and arms
+  /// only the head. When the head fires it arms the next packet's key and
+  /// then hands the packet up, so pop order is exactly that of one event
+  /// per packet while the queue holds one event per busy direction.
+  class Wire {
+   public:
+    /// `simulation` is the destination's: the partition that owns `to`.
+    explicit Wire(sim::Simulation& simulation) : sim_{&simulation} {}
+    /// The armed delivery event (and a cross-partition handoff) holds the
+    /// wire's address.
+    Wire(const Wire&) = delete;
+    Wire& operator=(const Wire&) = delete;
+
+    void connect(NetDevice& to) { to_ = &to; }
+
+    /// Put `p` on the wire with the scheduler key (at, birth, origin,
+    /// rank) that a one-shot delivery event would carry: arrival time,
+    /// transmit time, the sender's event origin and a rank drawn from that
+    /// origin's stream at transmit.
+    void push(const Packet& p, sim::Time at, sim::Time birth, std::uint32_t origin,
+              std::uint64_t rank);
+
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
+
+   private:
+    struct InFlight {
+      sim::EventEntry key;  ///< `slot` unused: only the order fields matter
+      Packet packet;
+    };
+
+    [[nodiscard]] InFlight& nth(std::size_t i) { return ring_[(head_ + i) & (ring_.size() - 1)]; }
+    void grow();
+    void arm_head();
+    void fire();
+
+    sim::Simulation* sim_;
+    NetDevice* to_{nullptr};
+    /// Power-of-two ring in key order, doubled when full and never shrunk,
+    /// so a warm wire never allocates.
+    std::vector<InFlight> ring_;
+    std::size_t head_{0};
+    std::size_t size_{0};
+    sim::EventId armed_{};  ///< the head's delivery event while size_ > 0
+    std::uint64_t delivered_{0};
+  };
+
+  /// For CrossPartitionLink: endpoint a lives in `sim_a`, b in `sim_b`,
+  /// and each direction's wire is driven by its destination's partition.
+  PointToPointLink(sim::Simulation& sim_a, sim::Simulation& sim_b, sim::Time propagation_delay);
+
+  /// The wire toward `sender`'s peer; throws unless `sender` is one of the
+  /// attached endpoints.
+  [[nodiscard]] Wire& wire_from(const NetDevice& sender);
+
   sim::Simulation& sim_;
   sim::Time delay_;
   NetDevice* end_a_{nullptr};
@@ -60,16 +130,9 @@ class PointToPointLink {
   sim::Rng loss_rng_{};
   sim::Time max_jitter_{sim::Time::zero()};
   sim::Rng jitter_rng_{};
-  std::uint64_t delivered_{0};
   std::uint64_t lost_{0};
-  /// Packets on the wire, indexed by the slot captured in the delivery
-  /// closure. Parking the payload here keeps the closure at three words —
-  /// inside the scheduler's inline-callback budget — and the free list
-  /// makes steady-state transmission allocation-free. A plain FIFO would
-  /// not do: jitter deliberately permits reordering, so deliveries can
-  /// complete out of order.
-  std::vector<Packet> in_flight_;
-  std::vector<std::uint32_t> free_in_flight_;
+  Wire to_a_;
+  Wire to_b_;
 };
 
 }  // namespace rss::net

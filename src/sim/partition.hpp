@@ -181,14 +181,15 @@ class alignas(64) HandoffChannel {
 ///      partition sends are staged into HandoffChannels, never applied.
 ///   3. drain:   after the second barrier, each worker merges the channels
 ///      inbound to its partitions — sorted by (deliver_at, staged_at,
-///      channel, seq) — and schedules the deliveries with staged_at as the
-///      birth time and the staged (origin, rank) pair as the intrinsic
-///      tie-break key (Scheduler::schedule_at_imported). The sort makes
-///      the destination scheduler's insertion order a pure function of the
-///      spec, so runs are deterministic regardless of thread count or
-///      timing; the (birth, origin, rank) key makes same-timestamp pop
-///      order match the single-scheduler run exactly, independent even of
-///      that insertion order.
+///      channel, seq) — and hands each delivery to its endpoint (a link's
+///      wire), which arms it with staged_at as the birth time and the
+///      staged (origin, rank) pair as the intrinsic tie-break key
+///      (Scheduler::schedule_at_imported). The sort makes the destination
+///      scheduler's insertion order a pure function of the spec, so runs
+///      are deterministic regardless of thread count or timing; the
+///      (birth, origin, rank) key makes same-timestamp pop order match the
+///      single-scheduler run exactly, independent even of that insertion
+///      order.
 ///
 /// Worker w owns partitions {p : p % workers == w}; with threads == 1 the
 /// same round structure runs inline on the calling thread with no barriers,

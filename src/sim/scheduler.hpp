@@ -119,16 +119,12 @@ class Scheduler {
     return arm(at, Time::zero(), 1, std::move(cb), now_, origin);
   }
 
-  /// Relative-delay form of schedule_at_ranked.
-  EventId schedule_in_ranked(std::uint32_t origin, Time delay, Callback cb) {
-    return schedule_at_ranked(origin, now_ + delay, std::move(cb));
-  }
-
   /// Schedule with an explicit, externally drawn (origin, rank) pair and
-  /// birth time — the cross-partition drain path. The rank was consumed
-  /// from the *source* scheduler's origin counter at transmit time
-  /// (draw_rank), so it is exactly the rank a single-scheduler run would
-  /// have assigned; this call does not touch the local counters.
+  /// birth time — the link-wire path. The rank was consumed from the
+  /// sending node's origin counter at transmit time (draw_rank, on the
+  /// *source* scheduler when the link crosses partitions), so it is exactly
+  /// the rank an immediate schedule_at_ranked would have assigned; this
+  /// call does not touch the local counters.
   EventId schedule_at_imported(std::uint32_t origin, std::uint64_t rank, Time birth,
                                Time at, Callback cb) {
     if (birth > at)
@@ -137,9 +133,9 @@ class Scheduler {
   }
 
   /// Consume and return the next rank of `origin`'s tie-break stream
-  /// without scheduling anything — used by cross-partition staging, which
-  /// draws the rank on the source scheduler but arms the event later on the
-  /// destination's (schedule_at_imported).
+  /// without scheduling anything — used by link transmits, which draw the
+  /// rank on the sender's scheduler but arm the delivery later, when it
+  /// heads its wire (schedule_at_imported), possibly on another partition's.
   std::uint64_t draw_rank(std::uint32_t origin) {
     if (origin >= next_rank_.size()) next_rank_.resize(origin + 1, 1);
     return next_rank_[origin]++;

@@ -41,19 +41,10 @@ class Simulation {
   EventId in(Time delay, Scheduler::Callback cb) {
     return scheduler_.schedule_in(delay, std::move(cb));
   }
-  /// Origin-ranked scheduling: same-(at, birth) ties resolve by the node
-  /// label `origin` and its private rank counter instead of global insertion
-  /// order (see Scheduler::schedule_at_ranked). Links use the sender
-  /// device's origin so pop order is intrinsic to the topology, not to
-  /// which scheduler an event was inserted into.
-  EventId at_ranked(std::uint32_t origin, Time t, Scheduler::Callback cb) {
-    return scheduler_.schedule_at_ranked(origin, t, std::move(cb));
-  }
-  EventId in_ranked(std::uint32_t origin, Time delay, Scheduler::Callback cb) {
-    return scheduler_.schedule_in_ranked(origin, delay, std::move(cb));
-  }
-  /// Drain-side arm with an externally drawn (origin, rank) pair (see
-  /// Scheduler::schedule_at_imported). Used by cross-partition deliveries.
+  /// Arm with an externally drawn (origin, rank) pair and birth time (see
+  /// Scheduler::schedule_at_imported). Used by link wires, which draw a
+  /// packet's key at transmit (on the source partition, for a
+  /// cross-partition link) but arm it only once the packet heads its wire.
   EventId at_imported(std::uint32_t origin, std::uint64_t rank, Time birth, Time t,
                       Scheduler::Callback cb) {
     return scheduler_.schedule_at_imported(origin, rank, birth, t, std::move(cb));

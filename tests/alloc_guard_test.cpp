@@ -18,9 +18,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "net/data_rate.hpp"
+#include "net/device.hpp"
+#include "net/link.hpp"
+#include "net/packet.hpp"
+#include "net/queue.hpp"
 #include "sim/partition.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/simulation.hpp"
@@ -146,6 +153,54 @@ TEST_P(AllocGuardBackends, CancelInsideTrainStaysAllocFree) {
   const alloc_guard::AllocScope scope;
   round();
   EXPECT_EQ(scope.allocations(), 0u);
+}
+
+/// Steady-state link wire: once a direction's ring and the scheduler arena
+/// are warm, putting packets on the wire and delivering them — jittered, so
+/// later packets overtake the armed head and re-arm it — performs no heap
+/// allocation. A self-rescheduling sender calls transmit_from directly (the
+/// device's IFQ is a std::deque, which allocates nodes as it cycles), so the
+/// queue holds only the sender and the wire's head however many packets are
+/// in flight, and the calendar backend never re-buckets.
+TEST_P(AllocGuardBackends, SteadyStateLinkWireIsAllocFree) {
+  Simulation s{1, GetParam()};
+  net::NetDevice a{s, net::DataRate::gbps(1), std::make_unique<net::DropTailQueue>(4), "a"};
+  net::NetDevice b{s, net::DataRate::gbps(1), std::make_unique<net::DropTailQueue>(4), "b"};
+  net::PointToPointLink link{s, 1_ms};
+  link.attach(a, b);
+  link.set_jitter(200_us, Rng{3});
+  std::uint64_t received = 0;
+  b.set_receive_callback([&received](const net::Packet&, net::NetDevice&) { ++received; });
+
+  struct Sender {
+    Simulation* sim;
+    net::PointToPointLink* link;
+    const net::NetDevice* from;
+    int* left;
+    void operator()() const {
+      link->transmit_from(*from, net::Packet{});
+      if (--*left > 0) sim->in(1_us, *this);
+    }
+  };
+  int left = 0;
+  std::size_t most_pending = 0;
+  auto round = [&](int packets) {
+    left = packets;
+    s.in(1_us, Sender{&s, &link, &a, &left});
+    while (s.scheduler().step()) most_pending = std::max(most_pending, s.scheduler().pending());
+  };
+
+  round(2048);  // warm-up: the wire's ring and the scheduler arena
+  ASSERT_EQ(received, 2048u);
+
+  const alloc_guard::AllocScope scope;
+  round(2048);
+  EXPECT_EQ(received, 4096u);
+  EXPECT_EQ(link.packets_in_flight(), 0u);
+  EXPECT_LE(most_pending, 2u);
+  EXPECT_EQ(scope.allocations(), 0u)
+      << "steady-state wire allocated " << scope.allocations() << " times ("
+      << scope.bytes() << " bytes)";
 }
 
 /// Steady-state partitioned window loop: once the handoff channels' staging
