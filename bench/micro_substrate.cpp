@@ -9,9 +9,10 @@
 //   (default)   google-benchmark CLI — full microbenchmark suite.
 //   --smoke     CI mode: run the packet-dense WAN scenario, the 3-hop
 //               parking-lot scenario and a scheduler churn loop on both
-//               backends for a few seconds and write BENCH_scheduler.json
-//               (events/sec per scenario and backend), so the perf
-//               trajectory of the event core is recorded per commit.
+//               backends, the partitioned and fluid legs and a spec-sweep
+//               expansion for a few seconds each and write
+//               BENCH_scheduler.json (events/sec per scenario and backend),
+//               so the perf trajectory is recorded per commit.
 //               Options: --out <path> (default BENCH_scheduler.json),
 //               --seconds <n> (approx budget per backend, default 2).
 
@@ -30,6 +31,7 @@
 #include "net/queue.hpp"
 #include "scenario/cc_factories.hpp"
 #include "scenario/presets.hpp"
+#include "scenario/spec_io.hpp"
 #include "scenario/wan_path.hpp"
 #include "sim/scheduler.hpp"
 
@@ -301,6 +303,43 @@ SmokeResult smoke_scale_fluid(std::size_t partitions, double budget_seconds) {
   return r;
 }
 
+/// The spec set-up leg: parse plus expand of a 64-point grid (4 IFQ sizes x
+/// 4 seeds x 4 congestion controls) over the 10,028-flow ScaleMesh spec
+/// with staggered flow starts, the shape of rssbench's spec_setup workload.
+/// "events" counts expanded points, so events/sec is sweep points per
+/// second.
+SmokeResult smoke_spec_sweep(double budget_seconds) {
+  scenario::ScaleMesh::Config cfg;
+  cfg.segments = 8;
+  cfg.flows_per_segment = 1250;
+  cfg.cross_flows_per_segment = 4;
+  scenario::spec::ScenarioSpec spec;
+  spec.name = "spec_sweep";
+  spec.topology = scenario::ScaleMesh::make_spec(cfg);
+  for (std::size_t i = 0; i < spec.topology.flows.size(); ++i) {
+    spec.topology.flows[i].start =
+        sim::Time::nanoseconds(static_cast<std::int64_t>(i * 7'919 % 50'000'000));
+  }
+  spec.flow_cc.assign(spec.topology.flows.size(), "reno");
+  std::size_t bottleneck = 0;
+  while (spec.topology.links.at(bottleneck).a_dev.name != "seg0/bottleneck") ++bottleneck;
+  const auto values = [](std::string_view json) { return scenario::spec::json_parse(json).array; };
+  spec.sweep.axes.push_back({"links[" + std::to_string(bottleneck) + "].a_dev.ifq_packets",
+                             values("[50, 100, 200, 400]")});
+  spec.sweep.axes.push_back({"seed", values("[1, 2, 3, 4]")});
+  spec.sweep.axes.push_back(
+      {"flows[0].cc", values(R"(["reno", "restricted-slow-start", "cubic", "highspeed"])")});
+  const std::string text = scenario::spec::serialize_scenario_spec(spec);
+
+  SmokeResult r;
+  const auto t0 = std::chrono::steady_clock::now();
+  while (r.seconds < budget_seconds) {
+    r.events += scenario::spec::expand_scenario_spec(text).size();
+    r.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  }
+  return r;
+}
+
 /// Pure scheduler churn: the schedule/cancel/reschedule storm of the
 /// per-ACK RTO path, plus trains, with no protocol work diluting it.
 SmokeResult smoke_churn(sim::QueueBackend backend, double budget_seconds) {
@@ -385,6 +424,8 @@ int run_smoke(const std::vector<std::string>& args) {
   }
   rows.push_back({"scale_fluid", "partitions_1", smoke_scale_fluid(1, budget)});
   rows.push_back({"scale_fluid", "partitions_4", smoke_scale_fluid(4, budget)});
+  // bench_spec: sweep expansion, the set-up cost of every spec-driven study.
+  rows.push_back({"spec_sweep", "expand_64pt", smoke_spec_sweep(budget)});
 
   std::ofstream out{out_path};
   if (!out) {

@@ -1,14 +1,19 @@
 #include "scenario/spec_io.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
+#include <system_error>
 #include <unordered_set>
 
 #include "scenario/builder.hpp"
@@ -613,6 +618,10 @@ std::string format_rate(net::DataRate rate) {
 
 namespace {
 
+[[noreturn]] void fail_unknown_field(const std::string& path, const std::string& key, int line) {
+  fail(SpecError::Code::kUnknownField, sub(path, key), line, "unknown field \"" + key + "\"");
+}
+
 /// Wraps one JSON object for schema parsing: every key must be consumed by
 /// opt()/req() before finish(), so typos ("ifq_pakcets") fail loudly with
 /// kUnknownField instead of silently running the default.
@@ -639,11 +648,8 @@ class ObjectReader {
   [[nodiscard]] std::string path_of(std::string_view key) const { return sub(path_, key); }
 
   void finish() const {
-    for (const auto& [key, value] : v_.object) {
-      if (!consumed_.count(key))
-        fail(SpecError::Code::kUnknownField, sub(path_, key), value.line,
-             "unknown field \"" + key + "\"");
-    }
+    for (const auto& [key, value] : v_.object)
+      if (!consumed_.count(key)) fail_unknown_field(path_, key, value.line);
   }
 
  private:
@@ -1152,6 +1158,125 @@ JsonValue sweep_to_json(const SweepSpec& sweep) {
   return o;
 }
 
+// --- schema: the scenario document ----------------------------------------
+
+/// One top-level member of a scenario document. parse_scenario_spec runs
+/// every member's `read`, in kMembers order, then rejects unknown keys. A
+/// read overwrites the member's whole part of the spec (an absent member
+/// resets it to its default), so sweep expansion can re-run the reads of
+/// the members its axes write on a copy of the base result. Array members
+/// can also be read element by element: `resize` sizes the spec's part and
+/// `element` reads one element into its slot.
+struct Member {
+  using Read = void (*)(ObjectReader& r, ScenarioSpec& s);
+  using Resize = void (*)(ScenarioSpec& s, std::size_t n);
+  using Element = void (*)(const JsonValue& x, std::size_t i, ScenarioSpec& s);
+
+  std::string_view key;
+  Read read;
+  Resize resize{nullptr};
+  Element element{nullptr};
+};
+
+void read_name(ObjectReader& r, ScenarioSpec& s) {
+  const JsonValue* x = r.opt("name");
+  s.name = x ? x->as_string("name") : "scenario";
+}
+
+void read_seed(ObjectReader& r, ScenarioSpec& s) {
+  const JsonValue* x = r.opt("seed");
+  s.topology.seed = x ? x->as_u64("seed") : TopologySpec{}.seed;
+}
+
+// Top-level "backend" is the deprecated alias for execution.backend; both
+// parse, and the builder resolves the precedence (execution wins).
+void read_backend(ObjectReader& r, ScenarioSpec& s) {
+  const JsonValue* x = r.opt("backend");
+  s.topology.backend = x ? parse_backend_name(*x, "backend") : std::nullopt;
+}
+
+void read_execution(ObjectReader& r, ScenarioSpec& s) {
+  const JsonValue* x = r.opt("execution");
+  s.topology.execution = x ? parse_execution(*x, "execution") : ExecutionPolicy{};
+}
+
+/// Reads array member `key` (`x`, nullptr when absent) element by element.
+void read_array(const JsonValue* x, const std::string& key, ScenarioSpec& s,
+                Member::Resize resize, Member::Element element) {
+  if (x && !x->is_array()) fail(SpecError::Code::kWrongType, key, x->line, "expected an array");
+  const std::size_t n = x ? x->array.size() : 0;
+  resize(s, n);
+  for (std::size_t i = 0; i < n; ++i) element(x->array[i], i, s);
+}
+
+void resize_nodes(ScenarioSpec& s, std::size_t n) { s.topology.nodes.resize(n); }
+
+void read_node(const JsonValue& x, std::size_t i, ScenarioSpec& s) {
+  s.topology.nodes[i] = x.as_string(idx("nodes", i));
+}
+
+void read_nodes(ObjectReader& r, ScenarioSpec& s) {
+  read_array(&r.req("nodes"), "nodes", s, resize_nodes, read_node);
+}
+
+void resize_links(ScenarioSpec& s, std::size_t n) { s.topology.links.resize(n); }
+
+void read_link(const JsonValue& x, std::size_t i, ScenarioSpec& s) {
+  s.topology.links[i] = parse_link(x, idx("links", i));
+}
+
+void read_links(ObjectReader& r, ScenarioSpec& s) {
+  read_array(r.opt("links"), "links", s, resize_links, read_link);
+}
+
+void resize_flows(ScenarioSpec& s, std::size_t n) {
+  s.topology.flows.resize(n);
+  s.flow_cc.resize(n);
+}
+
+void read_flow(const JsonValue& x, std::size_t i, ScenarioSpec& s) {
+  s.topology.flows[i] = parse_flow(x, idx("flows", i), s.flow_cc[i]);
+}
+
+void read_flows(ObjectReader& r, ScenarioSpec& s) {
+  read_array(r.opt("flows"), "flows", s, resize_flows, read_flow);
+}
+
+void read_run(ObjectReader& r, ScenarioSpec& s) {
+  s.run = RunSpec{};
+  const JsonValue* run = r.opt("run");
+  if (!run) return;
+  ObjectReader rr{*run, "run"};
+  if (const auto* x = rr.opt("duration"))
+    s.run.duration = parse_time(x->as_string("run.duration"), "run.duration");
+  if (const auto* x = rr.opt("measure_start"))
+    s.run.measure_start = parse_time(x->as_string("run.measure_start"), "run.measure_start");
+  rr.finish();
+}
+
+void read_sweep(ObjectReader& r, ScenarioSpec& s) {
+  const JsonValue* x = r.opt("sweep");
+  s.sweep = x ? parse_sweep(*x, "sweep") : SweepSpec{};
+}
+
+constexpr Member kMembers[] = {
+    {"name", read_name},
+    {"seed", read_seed},
+    {"backend", read_backend},
+    {"execution", read_execution},
+    {"nodes", read_nodes, resize_nodes, read_node},
+    {"links", read_links, resize_links, read_link},
+    {"flows", read_flows, resize_flows, read_flow},
+    {"run", read_run},
+    {"sweep", read_sweep},
+};
+
+[[nodiscard]] const Member* find_member(std::string_view key) {
+  for (const Member& m : kMembers)
+    if (m.key == key) return &m;
+  return nullptr;
+}
+
 }  // namespace
 
 // --- ScenarioSpec parse/serialize -----------------------------------------
@@ -1159,58 +1284,24 @@ JsonValue sweep_to_json(const SweepSpec& sweep) {
 std::size_t SweepSpec::point_count() const {
   if (axes.empty()) return 1;
   if (mode == Mode::kZip) return axes.front().values.size();
+  // Every point is held at once, so the grid must fit in one vector.
+  const std::size_t limit = std::vector<SweepPoint>{}.max_size();
   std::size_t count = 1;
-  for (const auto& axis : axes) count *= axis.values.size();
+  for (const auto& axis : axes) {
+    const std::size_t n = axis.values.size();
+    if (n != 0 && count > limit / n)
+      fail(SpecError::Code::kBadSweep, "sweep.axes", 0,
+           "sweep grid of " + std::to_string(axes.size()) + " axes has more than " +
+               std::to_string(limit) + " points");
+    count *= n;
+  }
   return count;
 }
 
 ScenarioSpec parse_scenario_spec(const JsonValue& document) {
   ObjectReader r{document, ""};
   ScenarioSpec s;
-  s.name = "scenario";
-  if (const auto* x = r.opt("name")) s.name = x->as_string("name");
-  if (const auto* x = r.opt("seed")) s.topology.seed = x->as_u64("seed");
-  // Top-level "backend" is the deprecated alias for execution.backend; both
-  // parse, and the builder resolves the precedence (execution wins).
-  if (const auto* x = r.opt("backend"))
-    s.topology.backend = parse_backend_name(*x, "backend");
-  if (const auto* x = r.opt("execution"))
-    s.topology.execution = parse_execution(*x, "execution");
-
-  const JsonValue& nodes = r.req("nodes");
-  if (!nodes.is_array())
-    fail(SpecError::Code::kWrongType, "nodes", nodes.line, "expected an array");
-  for (std::size_t i = 0; i < nodes.array.size(); ++i)
-    s.topology.nodes.push_back(nodes.array[i].as_string(idx("nodes", i)));
-
-  if (const auto* links = r.opt("links")) {
-    if (!links->is_array())
-      fail(SpecError::Code::kWrongType, "links", links->line, "expected an array");
-    for (std::size_t i = 0; i < links->array.size(); ++i)
-      s.topology.links.push_back(parse_link(links->array[i], idx("links", i)));
-  }
-
-  if (const auto* flows = r.opt("flows")) {
-    if (!flows->is_array())
-      fail(SpecError::Code::kWrongType, "flows", flows->line, "expected an array");
-    for (std::size_t i = 0; i < flows->array.size(); ++i) {
-      std::string cc;
-      s.topology.flows.push_back(parse_flow(flows->array[i], idx("flows", i), cc));
-      s.flow_cc.push_back(std::move(cc));
-    }
-  }
-
-  if (const auto* run = r.opt("run")) {
-    ObjectReader rr{*run, "run"};
-    if (const auto* x = rr.opt("duration"))
-      s.run.duration = parse_time(x->as_string("run.duration"), "run.duration");
-    if (const auto* x = rr.opt("measure_start"))
-      s.run.measure_start = parse_time(x->as_string("run.measure_start"), "run.measure_start");
-    rr.finish();
-  }
-
-  if (const auto* sweep = r.opt("sweep")) s.sweep = parse_sweep(*sweep, "sweep");
-
+  for (const Member& m : kMembers) m.read(r, s);
   r.finish();
   return s;
 }
@@ -1300,31 +1391,34 @@ std::string serialize_scenario_spec(const ScenarioSpec& spec) {
 
 namespace {
 
-/// One "name[3][0]"-style path segment.
-struct PathSegment {
+/// One step of a sweep field path: an object key, or an index into the
+/// array under `key`. "flows[0].cc" is key flows, index 0, key cc.
+struct PathStep {
   std::string key;
-  std::vector<std::size_t> indices;
+  std::optional<std::size_t> index;
 };
 
-[[nodiscard]] std::vector<PathSegment> parse_field_path(const std::string& path) {
-  std::vector<PathSegment> segments;
+[[nodiscard]] std::vector<PathStep> parse_field_path(const std::string& path) {
+  std::vector<PathStep> steps;
   std::size_t i = 0;
   while (i < path.size()) {
-    PathSegment seg;
-    while (i < path.size() && path[i] != '.' && path[i] != '[') seg.key.push_back(path[i++]);
-    if (seg.key.empty())
+    std::string key;
+    while (i < path.size() && path[i] != '.' && path[i] != '[') key.push_back(path[i++]);
+    if (key.empty())
       fail(SpecError::Code::kBadSweep, path, 0, "malformed sweep field path");
+    steps.push_back({key, std::nullopt});
     while (i < path.size() && path[i] == '[') {
-      ++i;
-      std::string digits;
-      while (i < path.size() && std::isdigit(static_cast<unsigned char>(path[i])))
-        digits.push_back(path[i++]);
-      if (digits.empty() || i >= path.size() || path[i] != ']')
+      const std::size_t first = ++i;
+      while (i < path.size() && std::isdigit(static_cast<unsigned char>(path[i]))) ++i;
+      if (i == first || i >= path.size() || path[i] != ']')
         fail(SpecError::Code::kBadSweep, path, 0, "malformed sweep field path");
+      std::size_t index = 0;
+      if (std::from_chars(path.data() + first, path.data() + i, index).ec != std::errc{})
+        fail(SpecError::Code::kBadSweep, path, 0,
+             "sweep path index " + path.substr(first, i - first) + " is out of range");
+      steps.push_back({key, index});
       ++i;  // ']'
-      seg.indices.push_back(static_cast<std::size_t>(std::stoull(digits)));
     }
-    segments.push_back(std::move(seg));
     if (i < path.size()) {
       if (path[i] != '.')
         fail(SpecError::Code::kBadSweep, path, 0, "malformed sweep field path");
@@ -1333,41 +1427,40 @@ struct PathSegment {
         fail(SpecError::Code::kBadSweep, path, 0, "malformed sweep field path");
     }
   }
-  if (segments.empty())
-    fail(SpecError::Code::kBadSweep, path, 0, "empty sweep field path");
-  return segments;
+  if (steps.empty()) fail(SpecError::Code::kBadSweep, path, 0, "empty sweep field path");
+  return steps;
 }
 
-/// Write `value` at `path` inside `document`. Every intermediate segment
-/// must already exist; the final segment may create a new object key (so an
-/// axis can sweep a field the base spec leaves at its default), but array
-/// indices always have to resolve.
-void set_at_path(JsonValue& document, const std::string& path, const JsonValue& value) {
-  const auto segments = parse_field_path(path);
-  JsonValue* at = &document;
-  for (std::size_t s = 0; s < segments.size(); ++s) {
-    const PathSegment& seg = segments[s];
-    const bool last = s + 1 == segments.size();
-    JsonValue* next = at->find(seg.key);
+/// Write `value` at `path` (parsed into `steps`), walking from `root` at
+/// step `from`. Every intermediate step must already exist; the final step
+/// may create a new object key (so an axis can sweep a field the base spec
+/// leaves at its default), but array indices always have to resolve.
+void write_at_path(JsonValue& root, const std::string& path, const std::vector<PathStep>& steps,
+                   std::size_t from, const JsonValue& value) {
+  JsonValue* at = &root;
+  for (std::size_t k = from; k < steps.size(); ++k) {
+    const PathStep& step = steps[k];
+    if (step.index) {
+      if (!at->is_array() || *step.index >= at->array.size())
+        fail(SpecError::Code::kBadSweep, path, 0,
+             "sweep path does not resolve (bad index " + std::to_string(*step.index) +
+                 " under '" + step.key + "')");
+      at = &at->array[*step.index];
+      continue;
+    }
+    JsonValue* next = at->find(step.key);
     if (!next) {
       if (!at->is_object())
         fail(SpecError::Code::kBadSweep, path, 0,
-             "sweep path does not resolve (no object at '" + seg.key + "')");
-      if (last && seg.indices.empty()) {
-        at->set(seg.key, value);
+             "sweep path does not resolve (no object at '" + step.key + "')");
+      if (k + 1 == steps.size()) {
+        at->set(step.key, value);
         return;
       }
       fail(SpecError::Code::kBadSweep, path, 0,
-           "sweep path does not resolve (missing field '" + seg.key + "')");
+           "sweep path does not resolve (missing field '" + step.key + "')");
     }
     at = next;
-    for (const std::size_t index : seg.indices) {
-      if (!at->is_array() || index >= at->array.size())
-        fail(SpecError::Code::kBadSweep, path, 0,
-             "sweep path does not resolve (bad index " + std::to_string(index) + " under '" +
-                 seg.key + "')");
-      at = &at->array[index];
-    }
   }
   *at = value;
 }
@@ -1387,6 +1480,135 @@ void set_at_path(JsonValue& document, const std::string& path, const JsonValue& 
   }
 }
 
+/// Where a part of the document is read in parse_scenario_spec's order:
+/// (member, 0) for a whole member or an array member's type check,
+/// (member, i + 1) for element i.
+using ParsePosition = std::pair<std::size_t, std::size_t>;
+
+/// A part of the document that sweep axes write: a top-level member, or one
+/// element of an array member that the base document holds. Every point
+/// starts from a copy of the base document's part, writes its axis values
+/// into it in axis order, and re-reads only that part of the spec.
+struct WrittenPart {
+  std::string key;
+  const Member* member;                ///< nullptr for a key the schema does not know
+  std::optional<std::size_t> element;  ///< the element, for an element of an array member
+  const JsonValue* base;               ///< the base document's value; nullptr when absent
+  /// This point's copy: the element, or an object holding just the member.
+  JsonValue value;
+
+  void reset(int document_line) {
+    if (element) {
+      value = *base;
+      return;
+    }
+    value = JsonValue::make_object();
+    value.line = document_line;
+    if (base) value.object.emplace_back(key, *base);
+  }
+
+  void write(const std::string& path, const std::vector<PathStep>& steps, const JsonValue& v) {
+    // An element's copy sits below the path's key and index steps.
+    write_at_path(value, path, steps, element ? 2 : 0, v);
+  }
+
+  [[nodiscard]] ParsePosition position() const {
+    return {static_cast<std::size_t>(member - kMembers), element ? *element + 1 : 0};
+  }
+
+  void read(ScenarioSpec& s) const {
+    if (element) {
+      member->element(value, *element, s);
+      return;
+    }
+    ObjectReader r{value, ""};
+    member->read(r, s);
+  }
+
+  /// A whole member's value after this point's writes.
+  [[nodiscard]] const JsonValue& written() const { return *value.find(key); }
+};
+
+/// One axis's write: its parsed path and the part it writes, or the error
+/// its malformed path raises when the axis's turn comes.
+struct AxisWrite {
+  std::vector<PathStep> steps;
+  std::size_t part{0};
+  std::exception_ptr bad_path;
+};
+
+/// The element of an array member that `steps` writes into, when the base
+/// document holds that element; nullopt when the axis writes a whole member.
+[[nodiscard]] std::optional<std::size_t> element_written(const std::vector<PathStep>& steps,
+                                                         const JsonValue* base) {
+  const Member* member = find_member(steps.front().key);
+  if (!member || !member->element || steps.size() < 2 || !steps[1].index || !base ||
+      !base->is_array() || *steps[1].index >= base->array.size())
+    return std::nullopt;
+  return steps[1].index;
+}
+
+/// The members no axis writes, read once from the document. A read error is
+/// kept with its position rather than thrown, because a point whose own
+/// parts fail earlier in parse order must report its own error.
+struct BaseParse {
+  ScenarioSpec spec;
+  std::exception_ptr error;
+  ParsePosition error_at;
+};
+
+[[nodiscard]] BaseParse parse_base(const JsonValue& document,
+                                   const std::vector<WrittenPart>& parts) {
+  BaseParse base;
+  ObjectReader r{document, ""};
+  for (std::size_t m = 0; m < std::size(kMembers); ++m) {
+    const Member& member = kMembers[m];
+    // A point has no sweep of its own, so it keeps the default.
+    bool whole = member.key == "sweep";
+    std::vector<std::size_t> elements;
+    for (const WrittenPart& part : parts) {
+      if (part.member != &member) continue;
+      if (part.element) elements.push_back(*part.element);
+      else whole = true;
+    }
+    if (whole) continue;
+    std::size_t at = 0;
+    try {
+      if (elements.empty()) {
+        member.read(r, base.spec);
+        continue;
+      }
+      // Element parts exist only where the base member is an array.
+      const JsonValue& array = *document.find(member.key);
+      member.resize(base.spec, array.array.size());
+      for (std::size_t i = 0; i < array.array.size(); ++i) {
+        at = i + 1;
+        if (std::find(elements.begin(), elements.end(), i) == elements.end())
+          member.element(array.array[i], i, base.spec);
+      }
+    } catch (...) {
+      base.error = std::current_exception();
+      base.error_at = {m, at};
+      break;
+    }
+  }
+  return base;
+}
+
+/// Rejects a point's first top-level key the schema does not know, as
+/// ObjectReader::finish would: the base document's keys in order, then the
+/// keys the axes created, in the order they created them.
+void check_point_keys(const JsonValue& document, const std::vector<WrittenPart>& parts) {
+  for (const auto& [key, value] : document.object) {
+    if (find_member(key)) continue;
+    const auto part = std::find_if(parts.begin(), parts.end(),
+                                   [&](const WrittenPart& p) { return p.key == key; });
+    fail_unknown_field("", key, part != parts.end() ? part->written().line : value.line);
+  }
+  for (const WrittenPart& part : parts)
+    if (!part.member && !part.base) fail_unknown_field("", part.key, part.written().line);
+}
+
 }  // namespace
 
 std::vector<SweepPoint> expand_scenario_spec(const JsonValue& document) {
@@ -1400,14 +1622,51 @@ std::vector<SweepPoint> expand_scenario_spec(const JsonValue& document) {
     return {std::move(point)};
   }
   const SweepSpec sweep = parse_sweep(*sweep_json, "sweep");
-
-  // The base document: everything except the sweep block.
-  JsonValue base = JsonValue::make_object();
-  base.line = document.line;
-  for (const auto& [key, value] : document.object)
-    if (key != "sweep") base.object.emplace_back(key, value);
-
   const std::size_t points = sweep.point_count();
+
+  // Each point is the base document (everything except the sweep block)
+  // with the axis values written in, and reads exactly as that document
+  // written out by hand would. Only the parts the axes write differ from
+  // the base, so those are re-read per point and the rest is read once.
+  const auto base_member = [&](std::string_view key) {
+    return key == "sweep" ? nullptr : document.find(key);
+  };
+  // A member some axis writes whole is one part, even where other axes
+  // write single elements of it.
+  std::vector<AxisWrite> writes(sweep.axes.size());
+  std::set<std::string, std::less<>> whole;
+  for (std::size_t a = 0; a < writes.size(); ++a) {
+    try {
+      writes[a].steps = parse_field_path(sweep.axes[a].field);
+    } catch (const SpecError&) {
+      writes[a].bad_path = std::current_exception();
+      continue;
+    }
+    const std::string& key = writes[a].steps.front().key;
+    if (!element_written(writes[a].steps, base_member(key))) whole.insert(key);
+  }
+  std::vector<WrittenPart> parts;
+  for (AxisWrite& w : writes) {
+    if (w.bad_path) continue;
+    const std::string& key = w.steps.front().key;
+    const JsonValue* base = base_member(key);
+    const auto element = whole.count(key) ? std::nullopt : element_written(w.steps, base);
+    const auto same = [&](const WrittenPart& p) { return p.key == key && p.element == element; };
+    const auto it = std::find_if(parts.begin(), parts.end(), same);
+    w.part = static_cast<std::size_t>(it - parts.begin());
+    if (w.part == parts.size()) {
+      const JsonValue* base_part = element ? &base->array[*element] : base;
+      parts.push_back({key, find_member(key), element, base_part, {}});
+    }
+  }
+  std::vector<const WrittenPart*> reads;
+  for (const WrittenPart& part : parts)
+    if (part.member) reads.push_back(&part);
+  std::sort(reads.begin(), reads.end(), [](const WrittenPart* a, const WrittenPart* b) {
+    return a->position() < b->position();
+  });
+  const BaseParse base = parse_base(document, parts);
+
   std::vector<SweepPoint> expanded;
   expanded.reserve(points);
   for (std::size_t p = 0; p < points; ++p) {
@@ -1421,14 +1680,21 @@ std::vector<SweepPoint> expand_scenario_spec(const JsonValue& document) {
         rem /= sweep.axes[a].values.size();
       }
     }
-    JsonValue point_doc = base;
+    for (WrittenPart& part : parts) part.reset(document.line);
     SweepPoint point;
     for (std::size_t a = 0; a < sweep.axes.size(); ++a) {
+      if (writes[a].bad_path) std::rethrow_exception(writes[a].bad_path);
       const JsonValue& value = sweep.axes[a].values[select[a]];
-      set_at_path(point_doc, sweep.axes[a].field, value);
+      parts[writes[a].part].write(sweep.axes[a].field, writes[a].steps, value);
       point.assignment.emplace_back(sweep.axes[a].field, scalar_text(value));
     }
-    point.spec = parse_scenario_spec(point_doc);
+    point.spec = base.spec;
+    for (const WrittenPart* part : reads) {
+      if (base.error && base.error_at < part->position()) std::rethrow_exception(base.error);
+      part->read(point.spec);
+    }
+    if (base.error) std::rethrow_exception(base.error);
+    check_point_keys(document, parts);
     expanded.push_back(std::move(point));
   }
   return expanded;

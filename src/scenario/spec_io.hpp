@@ -155,6 +155,8 @@ struct SweepSpec {
 
   [[nodiscard]] bool empty() const { return axes.empty(); }
   /// Number of concrete points this sweep expands to (1 when empty).
+  /// Throws SpecError{kBadSweep} on "sweep.axes" when a grid has more
+  /// points than one std::vector<SweepPoint> can hold.
   [[nodiscard]] std::size_t point_count() const;
 };
 
@@ -197,8 +199,10 @@ void check_scenario_spec(const ScenarioSpec& spec);
 // --------------------------------------------------------------------------
 // Sweep expansion. Substitution happens on the JSON document: each point is
 // the base document minus "sweep", with every axis value written at its
-// field path, then re-parsed — so a swept value passes through exactly the
-// same validation as a hand-written one.
+// field path — so a swept value passes through exactly the same validation
+// as a hand-written one, and a point's spec and first error are those of
+// parsing that document. Only the top-level members (or array elements)
+// the axes write are re-read per point; the rest of the base is read once.
 // --------------------------------------------------------------------------
 
 /// One expanded sweep point: the concrete spec plus the axis assignment
@@ -211,7 +215,8 @@ struct SweepPoint {
 
 /// Expand a scenario document into its sweep points (a single point with an
 /// empty assignment when the spec has no sweep). Throws SpecError{kBadSweep}
-/// on empty axes, zip length mismatches, or paths that do not resolve.
+/// on empty axes, zip length mismatches, grids too large to expand, or
+/// paths that are malformed, index out of range or do not resolve.
 [[nodiscard]] std::vector<SweepPoint> expand_scenario_spec(const JsonValue& document);
 [[nodiscard]] std::vector<SweepPoint> expand_scenario_spec(std::string_view json_text);
 

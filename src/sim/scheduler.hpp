@@ -91,18 +91,6 @@ class Scheduler {
     return arm(at, Time::zero(), 1, std::move(cb), now_, 0);
   }
 
-  /// Schedule `cb` at `at` as if it had been inserted at time `birth`
-  /// (birth <= at). Same-timestamp events pop in (birth, origin, seq)
-  /// order, so this lets a cross-partition drain — which physically inserts
-  /// at the window boundary — give a handoff the tie-break rank its
-  /// source-side transmit time would have earned in a single-scheduler run.
-  /// For ordinary scheduling use schedule_at, which passes birth = now().
-  EventId schedule_at_from(Time birth, Time at, Callback cb) {
-    if (birth > at)
-      throw std::invalid_argument("Scheduler: event born after its own fire time");
-    return arm(at, Time::zero(), 1, std::move(cb), birth, 0);
-  }
-
   /// Schedule `cb` after relative delay `delay` (must be >= 0).
   EventId schedule_in(Time delay, Callback cb) {
     return schedule_at(now_ + delay, std::move(cb));

@@ -33,11 +33,6 @@ class Simulation {
   [[nodiscard]] Rng& rng() { return rng_; }
 
   EventId at(Time t, Scheduler::Callback cb) { return scheduler_.schedule_at(t, std::move(cb)); }
-  /// Schedule with an explicit birth time for the same-timestamp tie-break
-  /// (see Scheduler::schedule_at_from). Used by cross-partition drains.
-  EventId at_from(Time birth, Time t, Scheduler::Callback cb) {
-    return scheduler_.schedule_at_from(birth, t, std::move(cb));
-  }
   EventId in(Time delay, Scheduler::Callback cb) {
     return scheduler_.schedule_in(delay, std::move(cb));
   }

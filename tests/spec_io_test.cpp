@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <optional>
 #include <string>
+#include <vector>
 
+#include "scenario/presets.hpp"
 #include "scenario/spec_io.hpp"
 #include "scenario/topology.hpp"
 
@@ -455,6 +459,311 @@ TEST(SweepTest, PointCountsAndModeParse) {
               (void)parse_scenario_spec(with_sweep(R"({"mode": "spiral", "axes": []})"));
             }),
             Code::kBadValue);
+}
+
+/// A grid sweep over kSweepBase with `axes` two-value seed axes.
+[[nodiscard]] std::string two_value_axes(std::size_t axes) {
+  std::string sweep = R"({"axes": [)";
+  for (std::size_t a = 0; a < axes; ++a)
+    sweep += std::string{a ? ", " : ""} + R"({"field": "seed", "values": [1, 2]})";
+  return sweep + "]}";
+}
+
+TEST(SweepTest, GridTooLargeToExpandIsATypedError) {
+  // 2^64 points wrap a size_t to 0; 2^63 exceed what a vector can hold.
+  for (const std::size_t axes : {64u, 63u}) {
+    char buf[8192];
+    std::snprintf(buf, sizeof buf, kSweepBase, two_value_axes(axes).c_str());
+    const auto err = spec_error_full([&] { (void)expand_scenario_spec(buf); });
+    ASSERT_TRUE(err.has_value()) << axes << " axes";
+    EXPECT_EQ(err->code(), Code::kBadSweep);
+    EXPECT_EQ(err->field(), "sweep.axes");
+    EXPECT_EQ(spec_error_of([&] { (void)parse_scenario_spec(buf).sweep.point_count(); }),
+              Code::kBadSweep);
+  }
+}
+
+TEST(SweepTest, OversizedPathIndexIsATypedError) {
+  const auto err = spec_error_full([] {
+    (void)expand_scenario_spec(with_sweep(R"({
+      "axes": [{"field": "flows[99999999999999999999].cc", "values": ["reno"]}]
+    })"));
+  });
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(err->code(), Code::kBadSweep);
+  EXPECT_EQ(err->field(), "flows[99999999999999999999].cc");
+}
+
+// --- sweep expansion against its definition -------------------------------
+//
+// The reference expands a sweep the way the format defines it: for every
+// point, copy the document without "sweep", write each axis value at its
+// path through JsonValue::find/set/array, and parse the result. Expansion
+// must give every point the same bytes and assignment, or fail with the
+// same code, field and line.
+
+/// Writes `value` at `path`; every step but a last key must exist. The test
+/// paths are well formed, so only resolution can fail.
+void reference_write(JsonValue& document, const std::string& path, const JsonValue& value) {
+  const auto unresolved = [&] { throw SpecError(Code::kBadSweep, path, 0, "unresolved"); };
+  JsonValue* at = &document;
+  std::size_t i = 0;
+  while (i < path.size()) {
+    const std::size_t end = std::min(path.find_first_of(".[", i), path.size());
+    const std::string key = path.substr(i, end - i);
+    i = end;
+    JsonValue* next = at->find(key);
+    if (!next) {
+      if (!at->is_object() || i != path.size()) unresolved();
+      at->set(key, value);
+      return;
+    }
+    at = next;
+    while (i < path.size() && path[i] == '[') {
+      const std::size_t close = path.find(']', i);
+      const std::size_t index = std::stoul(path.substr(i + 1, close - i - 1));
+      if (!at->is_array() || index >= at->array.size()) unresolved();
+      at = &at->array[index];
+      i = close + 1;
+    }
+    if (i < path.size()) ++i;  // '.'
+  }
+  *at = value;
+}
+
+[[nodiscard]] std::string reference_text(const JsonValue& v) {
+  if (v.is_string()) return v.string;
+  if (v.is_number()) return v.number;
+  return v.boolean ? "true" : "false";
+}
+
+struct ReferencePoint {
+  std::string bytes;
+  std::vector<std::pair<std::string, std::string>> assignment;
+};
+
+[[nodiscard]] std::vector<ReferencePoint> reference_expand(const JsonValue& document) {
+  if (!document.find("sweep"))
+    return {{serialize_scenario_spec(parse_scenario_spec(document)), {}}};
+  JsonValue sweep_only = JsonValue::make_object();
+  sweep_only.set("nodes", JsonValue::make_array());
+  sweep_only.set("sweep", *document.find("sweep"));
+  const SweepSpec sweep = parse_scenario_spec(sweep_only).sweep;
+  std::size_t count = sweep.mode == SweepSpec::Mode::kZip ? sweep.axes.front().values.size() : 1;
+  if (sweep.mode == SweepSpec::Mode::kGrid)
+    for (const auto& axis : sweep.axes) count *= axis.values.size();
+
+  std::vector<ReferencePoint> points;
+  for (std::size_t p = 0; p < count; ++p) {
+    JsonValue doc = JsonValue::make_object();
+    doc.line = document.line;
+    for (const auto& [key, value] : document.object)
+      if (key != "sweep") doc.object.emplace_back(key, value);
+    ReferencePoint point;
+    std::size_t stride = count;
+    for (const auto& axis : sweep.axes) {
+      std::size_t pick = p;
+      if (sweep.mode == SweepSpec::Mode::kGrid) {
+        stride /= axis.values.size();
+        pick = p / stride % axis.values.size();
+      }
+      reference_write(doc, axis.field, axis.values[pick]);
+      point.assignment.emplace_back(axis.field, reference_text(axis.values[pick]));
+    }
+    point.bytes = serialize_scenario_spec(parse_scenario_spec(doc));
+    points.push_back(std::move(point));
+  }
+  return points;
+}
+
+/// Expands `document` both ways and checks that they agree; returns the
+/// error both raised, if any.
+std::optional<SpecError> expect_matches_reference(const JsonValue& document,
+                                                  const std::string& label) {
+  std::vector<ReferencePoint> want;
+  std::vector<SweepPoint> got;
+  const auto want_err = spec_error_full([&] { want = reference_expand(document); });
+  const auto got_err = spec_error_full([&] { got = expand_scenario_spec(document); });
+  if (want_err) {
+    EXPECT_TRUE(got_err.has_value()) << label << ": expected " << want_err->what();
+    if (got_err) {
+      EXPECT_EQ(got_err->code(), want_err->code()) << label << ": " << got_err->what();
+      EXPECT_EQ(got_err->field(), want_err->field()) << label << ": " << got_err->what();
+      EXPECT_EQ(got_err->line(), want_err->line()) << label << ": " << got_err->what();
+    }
+    return want_err;
+  }
+  if (got_err) {
+    ADD_FAILURE() << label << ": " << got_err->what();
+    return got_err;
+  }
+  EXPECT_EQ(got.size(), want.size()) << label;
+  for (std::size_t p = 0; p < std::min(got.size(), want.size()); ++p) {
+    EXPECT_EQ(serialize_scenario_spec(got[p].spec), want[p].bytes) << label << " point " << p;
+    EXPECT_EQ(got[p].assignment, want[p].assignment) << label << " point " << p;
+  }
+  return std::nullopt;
+}
+
+/// A 1,024-flow ScaleMesh document holding every member the sweeps below
+/// write, except "name", which an axis creates.
+[[nodiscard]] JsonValue mesh_document() {
+  ScaleMesh::Config cfg;
+  cfg.segments = 2;
+  cfg.flows_per_segment = 510;
+  cfg.cross_flows_per_segment = 2;
+  ScenarioSpec s;
+  s.name = "scenario";  // the default, which serializes to no "name" at all
+  s.topology = ScaleMesh::make_spec(cfg);
+  s.topology.execution.partitions = 2;
+  s.flow_cc.assign(s.topology.flows.size(), "reno");
+  s.run.duration = 2_s;
+  return json_parse(serialize_scenario_spec(s));
+}
+
+[[nodiscard]] JsonValue with_sweep(JsonValue document, const std::string& sweep_json) {
+  document.set("sweep", json_parse(sweep_json));
+  return document;
+}
+
+/// `base` with a sweep over every kind of member it holds: a top-level
+/// scalar (seed), a key the base may lack (name), fields of the run and
+/// execution objects, two axes on one link's device, and the first and the
+/// last flow. Zip mode takes three values per axis; grid mode takes two on
+/// half of the axes and one on the rest.
+[[nodiscard]] JsonValue sweep_every_member(JsonValue base, SweepSpec::Mode mode) {
+  const std::string last_flow =
+      "flows[" + std::to_string(base.find("flows")->array.size() - 1) + "].start";
+  const struct {
+    std::string field;
+    const char* values;
+    bool varies_in_grid;
+  } axes[] = {
+      {"seed", "[7, 8, 9]", true},
+      {"name", R"(["a", "b", "c"])", false},
+      {"run.duration", R"(["1s", "3s", "5s"])", true},
+      {"execution.partitions", "[1, 2, 4]", false},
+      {"links[0].a_dev.rate", R"(["10mbps", "20mbps", "30mbps"])", true},
+      {"links[0].a_dev.ifq_packets", "[25, 50, 75]", false},
+      {"flows[0].cc", R"(["cubic", "reno", "highspeed"])", true},
+      {last_flow, R"(["1ms", "2ms", "3ms"])", false},
+  };
+  JsonValue sweep = JsonValue::make_object();
+  if (mode == SweepSpec::Mode::kZip) sweep.set("mode", JsonValue::make_string("zip"));
+  JsonValue array = JsonValue::make_array();
+  for (const auto& axis : axes) {
+    // run.duration and execution.partitions resolve only where their object exists.
+    const std::string member = axis.field.substr(0, axis.field.find('.'));
+    if ((member == "run" || member == "execution") && !base.find(member)) continue;
+    JsonValue values = json_parse(axis.values);
+    if (mode == SweepSpec::Mode::kGrid) values.array.resize(axis.varies_in_grid ? 2 : 1);
+    JsonValue a = JsonValue::make_object();
+    a.set("field", JsonValue::make_string(axis.field));
+    a.set("values", std::move(values));
+    array.array.push_back(std::move(a));
+  }
+  sweep.set("axes", std::move(array));
+  base.set("sweep", std::move(sweep));
+  return base;
+}
+
+TEST(SweepReferenceTest, ShippedSpecsExpandLikeTheReference) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator{RSS_SPECS_DIR})
+    if (entry.path().extension() == ".json") files.push_back(entry.path());
+  std::sort(files.begin(), files.end());
+  ASSERT_GE(files.size(), 7u);
+  for (const auto& file : files) {
+    const std::string name = file.filename().string();
+    const JsonValue document = json_parse(read_spec_file(file.string()));
+    EXPECT_FALSE(expect_matches_reference(document, name).has_value());
+    for (const auto mode : {SweepSpec::Mode::kGrid, SweepSpec::Mode::kZip})
+      EXPECT_FALSE(
+          expect_matches_reference(sweep_every_member(document, mode), name + " swept")
+              .has_value());
+  }
+}
+
+TEST(SweepReferenceTest, MeshSweepsOnEveryKindOfMemberExpandLikeTheReference) {
+  const JsonValue mesh = mesh_document();
+  ASSERT_GE(mesh.find("flows")->array.size(), 1000u);
+  ASSERT_TRUE(mesh.find("run") && mesh.find("execution") && !mesh.find("name"));
+  for (const auto mode : {SweepSpec::Mode::kGrid, SweepSpec::Mode::kZip}) {
+    const JsonValue swept = sweep_every_member(mesh, mode);
+    ASSERT_EQ(swept.find("sweep")->find("axes")->array.size(), 8u);
+    EXPECT_FALSE(expect_matches_reference(swept, "mesh").has_value());
+  }
+}
+
+TEST(SweepReferenceTest, ErrorsMatchTheReference) {
+  JsonValue mesh = mesh_document();
+  // An invalid base value every point overwrites never surfaces.
+  JsonValue bad_cc = mesh;
+  bad_cc.find("flows")->array[0].set("cc", JsonValue::make_string("no-such-cc"));
+  EXPECT_FALSE(expect_matches_reference(
+                   with_sweep(bad_cc, R"({"axes": [
+                     {"field": "flows[0].cc", "values": ["reno", "cubic"]}]})"),
+                   "overwritten base")
+                   .has_value());
+
+  struct Case {
+    const char* label;
+    JsonValue base;
+    const char* sweep;
+    std::optional<Code> code;  // the expected code, when the case pins one
+  };
+  JsonValue bogus_base = mesh;
+  bogus_base.set("bogus", JsonValue::make_number(std::uint64_t{1}));
+  const std::vector<Case> cases{
+      {"axis creates a top-level key", mesh,
+       R"({"axes": [{"field": "bogus", "values": [1, 2]}]})", Code::kUnknownField},
+      {"axis creates a key in a flow", mesh,
+       R"({"axes": [{"field": "flows[0].bogus", "values": [1]}]})", Code::kUnknownField},
+      {"bad values in two members", mesh, R"({"mode": "zip", "axes": [
+         {"field": "links[0].a_dev.rate", "values": ["10parsecs"]},
+         {"field": "seed", "values": ["x"]}]})",
+       Code::kWrongType},
+      {"bad value in a later point", mesh,
+       R"({"axes": [{"field": "flows[3].start", "values": ["1ms", "2ms", "soon"]}]})",
+       Code::kBadValue},
+      {"invalid base before a written part", bad_cc,
+       R"({"axes": [{"field": "flows[5].cc", "values": ["bogus"]}]})", Code::kBadValue},
+      {"written part before an invalid base", bad_cc,
+       R"({"axes": [{"field": "seed", "values": [-1]}]})", Code::kBadValue},
+      {"unknown base key after a bad value", bogus_base,
+       R"({"axes": [{"field": "flows[2].ecn", "values": [1]}]})", Code::kWrongType},
+      {"unknown base key", bogus_base, R"({"axes": [{"field": "seed", "values": [3]}]})",
+       Code::kUnknownField},
+      {"unresolvable path before a malformed one", mesh, R"({"axes": [
+         {"field": "links[99999].delay", "values": ["1ms"]},
+         {"field": "links[0]..delay", "values": ["1ms"]}]})",
+       Code::kBadSweep},
+      {"whole member then one of its elements", mesh, R"({"axes": [
+         {"field": "flows", "values": [1]},
+         {"field": "flows[0].cc", "values": ["reno"]}]})",
+       Code::kBadSweep},
+      {"an element then its whole member", mesh, R"({"axes": [
+         {"field": "flows[0].cc", "values": ["reno"]},
+         {"field": "flows", "values": [1]}]})",
+       Code::kWrongType},
+      {"element replaced by a scalar", mesh,
+       R"({"axes": [{"field": "links[2]", "values": ["x"]}]})", Code::kWrongType},
+      {"axis creates a sweep", mesh, R"({"axes": [{"field": "sweep", "values": [1]}]})",
+       Code::kWrongType},
+      {"axis under an absent member", mesh,
+       R"({"axes": [{"field": "sweep.mode", "values": ["zip"]}]})", Code::kBadSweep},
+      {"renamed node", mesh, R"({"axes": [{"field": "nodes[1]", "values": ["x", "y"]}]})",
+       std::nullopt},
+      {"node replaced by a number", mesh,
+       R"({"axes": [{"field": "nodes[1]", "values": [5]}]})", Code::kWrongType},
+  };
+  for (const Case& c : cases) {
+    const auto err = expect_matches_reference(with_sweep(c.base, c.sweep), c.label);
+    if (c.code) {
+      ASSERT_TRUE(err.has_value()) << c.label;
+      EXPECT_EQ(err->code(), *c.code) << c.label << ": " << err->what();
+    }
+  }
 }
 
 }  // namespace
