@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
-"""Docs link-and-coverage checker: keeps the prose wired to the code.
+"""Docs link checker: keeps the prose wired to the repository.
 
-Two failure modes this guards against, neither of which any compiler sees:
+The failure mode this guards against, which no compiler sees: a relative
+link or intra-repo anchor in README.md or docs/*.md points at a file or
+heading that no longer exists (file moved, heading reworded).
 
-  dead-link       A relative link or intra-repo anchor in README.md or
-                  docs/*.md points at a file or heading that no longer
-                  exists (file moved, heading reworded).
-  spec-coverage   src/scenario/spec_io.cpp learns a new field but
-                  docs/spec-format.md never mentions it — the documented
-                  spec surface silently falls behind the parsed one.
+That docs/spec-format.md documents every spec key, and no key that the
+parser does not accept, is checked against the parser's own field tables
+by a gtest (SchemaDocsTest in tests/spec_io_test.cpp), not here.
 
 Runs as a ctest (`check_docs`) and as a CI step. Pure stdlib Python, no
 build needed.
@@ -25,13 +24,6 @@ import sys
 
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
-# Fields read by the spec parser: r.opt("x") / r.req("x") on an ObjectReader,
-# plus the reader variables the flow/web100/sweep parsers use.
-FIELD_RE = re.compile(r"\b(?:r|w|rr|a)\.(?:opt|req)\(\"([a-z_0-9]+)\"\)")
-
-# Parser-internal names that are not spec-file fields (or are documented
-# under a different, canonical name). Keep this list short and justified.
-FIELD_EXEMPT: set[str] = set()
 
 
 def github_anchor(heading: str) -> str:
@@ -70,34 +62,6 @@ def check_links(root: pathlib.Path, docs: list[pathlib.Path]) -> list[str]:
     return errors
 
 
-def check_spec_coverage(root: pathlib.Path) -> list[str]:
-    spec_io = root / "src" / "scenario" / "spec_io.cpp"
-    doc = root / "docs" / "spec-format.md"
-    errors = []
-    if not spec_io.exists():
-        return [f"missing {spec_io.relative_to(root)}"]
-    if not doc.exists():
-        return [f"missing {doc.relative_to(root)} (the spec surface must be documented)"]
-    parsed = set(FIELD_RE.findall(spec_io.read_text())) - FIELD_EXEMPT
-    if len(parsed) < 30:
-        errors.append(
-            f"spec-coverage: only {len(parsed)} fields scraped from spec_io.cpp — "
-            "the FIELD_RE pattern has likely fallen out of sync with the parser")
-    # Strip fenced blocks first: they would derail the single-backtick
-    # pairing below, and example snippets are not documentation of record.
-    doc_text = re.sub(r"```.*?```", "", doc.read_text(), flags=re.DOTALL)
-    # A field counts as documented when it appears backtick-quoted anywhere
-    # (table cells, prose, or a `parent.child` path).
-    documented = set()
-    for code_span in re.findall(r"`([^`]+)`", doc_text):
-        for token in re.split(r"[^\w]+", code_span):
-            if token:
-                documented.add(token)
-    for field in sorted(parsed - documented):
-        errors.append(f"docs/spec-format.md: parsed spec field '{field}' is undocumented")
-    return errors
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--root", default=".", help="repository root")
@@ -106,14 +70,13 @@ def main() -> int:
 
     docs = [root / "README.md"] + sorted((root / "docs").glob("*.md"))
     docs = [d for d in docs if d.exists()]
-    errors = check_links(root, docs) + check_spec_coverage(root)
+    errors = check_links(root, docs)
     for e in errors:
         print(f"check_docs: {e}", file=sys.stderr)
     if errors:
         print(f"check_docs: {len(errors)} problem(s)", file=sys.stderr)
         return 1
-    fields = len(set(FIELD_RE.findall((root / 'src/scenario/spec_io.cpp').read_text())))
-    print(f"check_docs: {len(docs)} documents, {fields} spec fields — all wired")
+    print(f"check_docs: {len(docs)} documents — all links wired")
     return 0
 
 

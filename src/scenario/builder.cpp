@@ -286,8 +286,7 @@ std::unique_ptr<Scenario> ScenarioBuilder::build(const FlowCcFactory& cc_factory
     scenario->engine_ = std::make_unique<sim::PartitionedEngine>(
         std::move(sim_ptrs),
         sim::PartitionedEngine::Options{.lookahead = lookahead,
-                                        .threads = policy.resolve_threads(parts),
-                                        .deterministic_merge = policy.deterministic_merge});
+                                        .threads = policy.resolve_threads(parts)});
   }
 
   const auto sim_of_node = [&](std::size_t n) -> sim::Simulation& {
@@ -309,8 +308,7 @@ std::unique_ptr<Scenario> ScenarioBuilder::build(const FlowCcFactory& cc_factory
   // Links: one device per endpoint, created in link declaration order so
   // device indices match the RouteTable's adjacency. A link whose
   // endpoints landed in different partitions becomes a CrossPartitionLink
-  // staging through the engine; channel ids follow link order, keeping the
-  // deterministic merge a pure function of the spec.
+  // staging through the engine.
   for (const auto& link : spec.links) {
     const std::size_t a = scenario->index_of(link.a);
     const std::size_t b = scenario->index_of(link.b);

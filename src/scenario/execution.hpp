@@ -36,10 +36,6 @@ struct ExecutionPolicy {
   /// partitions; for parallel_sweep, concurrent sweep points. 0 = one per
   /// hardware thread (with the hardware_concurrency()==0 report guarded).
   std::size_t threads{0};
-  /// Sort cross-partition handoffs into (deliver_at, channel, seq) order
-  /// before scheduling, making partitioned runs a pure function of the
-  /// spec. Leave on; off exists only to measure the sort's cost.
-  bool deterministic_merge{true};
 
   /// Estimated pending-event count at which the auto-select picks the
   /// calendar queue over the binary heap. Derived from the measured

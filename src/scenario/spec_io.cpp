@@ -1,20 +1,23 @@
 #include "scenario/spec_io.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
-#include <cerrno>
 #include <charconv>
 #include <cinttypes>
 #include <cmath>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <set>
 #include <sstream>
 #include <system_error>
-#include <unordered_set>
+#include <tuple>
+#include <type_traits>
 
 #include "scenario/builder.hpp"
 #include "scenario/cc_factories.hpp"
@@ -34,13 +37,72 @@ namespace {
   throw SpecError(code, field, line, what);
 }
 
-[[nodiscard]] std::string sub(const std::string& base, std::string_view key) {
-  if (base.empty()) return std::string{key};
-  return base + "." + std::string{key};
+/// A field's dotted path ("links[2].a_dev.rate") as a chain of steps on the
+/// reader's stack, spelled out only when an error names it, so reading a
+/// valid document builds no strings. A step refers to its parent, which
+/// must outlive it.
+struct Path {
+  const Path* parent{nullptr};
+  std::string_view key{};
+  std::size_t index{0};
+  bool is_index{false};
+
+  [[nodiscard]] Path operator/(std::string_view k) const { return {this, k}; }
+  [[nodiscard]] Path operator[](std::size_t i) const { return {this, {}, i, true}; }
+
+  [[nodiscard]] std::string str() const {
+    std::string s = parent ? parent->str() : std::string{};
+    if (is_index) return s + "[" + std::to_string(index) + "]";
+    if (!s.empty() && !key.empty()) s += '.';
+    return s.append(key);
+  }
+};
+
+[[noreturn]] void fail(SpecError::Code code, const Path& field, int line, const std::string& msg) {
+  fail(code, field.str(), line, msg);
 }
 
-[[nodiscard]] std::string idx(const std::string& base, std::size_t i) {
-  return base + "[" + std::to_string(i) + "]";
+[[noreturn]] void fail_unknown_field(const Path& path, const std::string& key, int line) {
+  fail(SpecError::Code::kUnknownField, path / key, line, "unknown field \"" + key + "\"");
+}
+
+void expect_number(const JsonValue& v, const Path& field) {
+  if (v.type != JsonValue::Type::kNumber)
+    fail(SpecError::Code::kWrongType, field, v.line, "expected a number");
+}
+
+[[nodiscard]] double double_at(const JsonValue& v, const Path& field) {
+  expect_number(v, field);
+  return std::strtod(v.number.c_str(), nullptr);
+}
+
+/// A number that is an integer and fits T; anything else is kBadValue.
+template <std::integral T>
+[[nodiscard]] T integer_at(const JsonValue& v, const Path& field) {
+  expect_number(v, field);
+  const std::string& number = v.number;
+  T n{};
+  const auto [end, ec] = std::from_chars(number.data(), number.data() + number.size(), n);
+  if (ec == std::errc::result_out_of_range)
+    fail(SpecError::Code::kBadValue, field, v.line, "integer out of range: '" + number + "'");
+  constexpr const char* kExpected =
+      std::is_signed_v<T> ? "expected an integer" : "expected a non-negative integer";
+  if (ec != std::errc{} || end != number.data() + number.size())
+    fail(SpecError::Code::kBadValue, field, v.line,
+         std::string{kExpected} + ", got '" + number + "'");
+  return n;
+}
+
+[[nodiscard]] bool bool_at(const JsonValue& v, const Path& field) {
+  if (v.type != JsonValue::Type::kBool)
+    fail(SpecError::Code::kWrongType, field, v.line, "expected true or false");
+  return v.boolean;
+}
+
+[[nodiscard]] const std::string& string_at(const JsonValue& v, const Path& field) {
+  if (v.type != JsonValue::Type::kString)
+    fail(SpecError::Code::kWrongType, field, v.line, "expected a string");
+  return v.string;
 }
 
 }  // namespace
@@ -123,51 +185,23 @@ void JsonValue::set(std::string_view key, JsonValue value) {
 }
 
 double JsonValue::as_double(const std::string& field) const {
-  if (type != Type::kNumber)
-    fail(SpecError::Code::kWrongType, field, line, "expected a number");
-  return std::strtod(number.c_str(), nullptr);
+  return double_at(*this, Path{nullptr, field});
 }
 
 std::uint64_t JsonValue::as_u64(const std::string& field) const {
-  if (type != Type::kNumber)
-    fail(SpecError::Code::kWrongType, field, line, "expected a number");
-  if (number.find_first_of(".eE-") != std::string::npos)
-    fail(SpecError::Code::kBadValue, field, line,
-         "expected a non-negative integer, got '" + number + "'");
-  errno = 0;
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(number.c_str(), &end, 10);
-  if (errno == ERANGE || end != number.c_str() + number.size())
-    fail(SpecError::Code::kBadValue, field, line,
-         "integer out of range: '" + number + "'");
-  return v;
+  return integer_at<std::uint64_t>(*this, Path{nullptr, field});
 }
 
 std::int64_t JsonValue::as_i64(const std::string& field) const {
-  if (type != Type::kNumber)
-    fail(SpecError::Code::kWrongType, field, line, "expected a number");
-  if (number.find_first_of(".eE") != std::string::npos)
-    fail(SpecError::Code::kBadValue, field, line,
-         "expected an integer, got '" + number + "'");
-  errno = 0;
-  char* end = nullptr;
-  const std::int64_t v = std::strtoll(number.c_str(), &end, 10);
-  if (errno == ERANGE || end != number.c_str() + number.size())
-    fail(SpecError::Code::kBadValue, field, line,
-         "integer out of range: '" + number + "'");
-  return v;
+  return integer_at<std::int64_t>(*this, Path{nullptr, field});
 }
 
 bool JsonValue::as_bool(const std::string& field) const {
-  if (type != Type::kBool)
-    fail(SpecError::Code::kWrongType, field, line, "expected true or false");
-  return boolean;
+  return bool_at(*this, Path{nullptr, field});
 }
 
 const std::string& JsonValue::as_string(const std::string& field) const {
-  if (type != Type::kString)
-    fail(SpecError::Code::kWrongType, field, line, "expected a string");
-  return string;
+  return string_at(*this, Path{nullptr, field});
 }
 
 // --- JSON parser ----------------------------------------------------------
@@ -526,7 +560,7 @@ namespace {
 /// or exponent — strtod alone would accept all of those), matching the
 /// strictness of the JSON layer. Throws kBadValue when it is missing or
 /// malformed.
-double split_unit(const std::string& text, const std::string& field, std::string& suffix) {
+double split_unit(const std::string& text, const Path& field, std::string& suffix) {
   std::size_t i = 0;
   while (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i]))) ++i;
   const std::size_t int_digits = i;
@@ -546,9 +580,7 @@ double split_unit(const std::string& text, const std::string& field, std::string
   return v;
 }
 
-}  // namespace
-
-sim::Time parse_time(const std::string& text, const std::string& field) {
+sim::Time time_at(const std::string& text, const Path& field) {
   std::string suffix;
   const double v = split_unit(text, field, suffix);
   double ns_per_unit = 0;
@@ -563,6 +595,29 @@ sim::Time parse_time(const std::string& text, const std::string& field) {
   if (ns > 9.2e18)
     fail(SpecError::Code::kBadValue, field, 0, "time '" + text + "' out of range");
   return sim::Time::nanoseconds(static_cast<std::int64_t>(ns + 0.5));
+}
+
+net::DataRate rate_at(const std::string& text, const Path& field) {
+  std::string suffix;
+  const double v = split_unit(text, field, suffix);
+  double bps_per_unit = 0;
+  if (suffix == "bps") bps_per_unit = 1;
+  else if (suffix == "kbps") bps_per_unit = 1e3;
+  else if (suffix == "mbps") bps_per_unit = 1e6;
+  else if (suffix == "gbps") bps_per_unit = 1e9;
+  else
+    fail(SpecError::Code::kBadValue, field, 0,
+         "bad rate unit in '" + text + "' (expected bps, kbps, mbps, or gbps)");
+  const double bps = v * bps_per_unit;
+  if (bps < 1 || bps > 1.8e19)
+    fail(SpecError::Code::kBadValue, field, 0, "rate '" + text + "' out of range");
+  return net::DataRate::bps(static_cast<std::uint64_t>(bps + 0.5));
+}
+
+}  // namespace
+
+sim::Time parse_time(const std::string& text, const std::string& field) {
+  return time_at(text, Path{nullptr, field});
 }
 
 std::string format_time(sim::Time t) {
@@ -583,20 +638,7 @@ std::string format_time(sim::Time t) {
 }
 
 net::DataRate parse_rate(const std::string& text, const std::string& field) {
-  std::string suffix;
-  const double v = split_unit(text, field, suffix);
-  double bps_per_unit = 0;
-  if (suffix == "bps") bps_per_unit = 1;
-  else if (suffix == "kbps") bps_per_unit = 1e3;
-  else if (suffix == "mbps") bps_per_unit = 1e6;
-  else if (suffix == "gbps") bps_per_unit = 1e9;
-  else
-    fail(SpecError::Code::kBadValue, field, 0,
-         "bad rate unit in '" + text + "' (expected bps, kbps, mbps, or gbps)");
-  const double bps = v * bps_per_unit;
-  if (bps < 1 || bps > 1.8e19)
-    fail(SpecError::Code::kBadValue, field, 0, "rate '" + text + "' out of range");
-  return net::DataRate::bps(static_cast<std::uint64_t>(bps + 0.5));
+  return rate_at(text, Path{nullptr, field});
 }
 
 std::string format_rate(net::DataRate rate) {
@@ -614,662 +656,658 @@ std::string format_rate(net::DataRate rate) {
   return buf;
 }
 
-// --- strict object reader -------------------------------------------------
+// --- schema: field tables -------------------------------------------------
+//
+// Every object of the spec format has one table: a std::tuple with one Field
+// per key, in document order. read_object, write_object and list_fields walk
+// a table expanded at compile time, so each entry's codec and rules inline
+// into the walk instead of costing an indirect call per field.
 
 namespace {
 
-[[noreturn]] void fail_unknown_field(const std::string& path, const std::string& key, int line) {
-  fail(SpecError::Code::kUnknownField, sub(path, key), line, "unknown field \"" + key + "\"");
+/// A flow as its document spells it: the FlowSpec plus its cc name, which
+/// ScenarioSpec keeps beside the topology in flow_cc.
+struct FlowDoc : FlowSpec {
+  std::string cc{"reno"};
+};
+
+/// What an absent key leaves, and what the writer elides.
+template <typename T>
+[[nodiscard]] const T& defaults() {
+  static const T kDefaults{};
+  return kDefaults;
 }
 
-/// Wraps one JSON object for schema parsing: every key must be consumed by
-/// opt()/req() before finish(), so typos ("ifq_pakcets") fail loudly with
-/// kUnknownField instead of silently running the default.
-class ObjectReader {
- public:
-  ObjectReader(const JsonValue& v, std::string path) : v_{v}, path_{std::move(path)} {
-    if (v.type != JsonValue::Type::kObject)
-      fail(SpecError::Code::kWrongType, path_, v.line, "expected an object");
+template <>
+[[nodiscard]] const ScenarioSpec& defaults<ScenarioSpec>() {
+  static const ScenarioSpec kDefaults{
+      .name = "scenario", .topology = {}, .flow_cc = {}, .run = {}, .sweep = {}};
+  return kDefaults;
+}
+
+enum class Presence {
+  kOptional,  ///< may be absent; written unless equal to its default
+  kAlways,    ///< may be absent; always written
+  kRequired,  ///< must be present; always written
+};
+
+/// A predicate and the reason its rejection gives.
+template <typename P>
+struct Rule {
+  P ok;
+  std::string_view what;
+};
+
+struct Always {
+  static constexpr std::string_view what{};
+  static constexpr bool ok(const auto&) { return true; }
+};
+
+/// Picks the codec from the member's type (see Scalar).
+struct ByType {};
+
+/// One key of a table. `get` is a member pointer, or a callable returning
+/// the member. The guard is judged on the owner as read so far: where it
+/// fails, the key is kBadValue `"<key>" <what>` and is never written. A value
+/// the constraint (`check`) rejects is kBadValue `<what>` on its field.
+template <typename Get, typename Codec, typename Guard = Always, typename Check = Always>
+struct Field {
+  std::string_view key;
+  Get get;
+  Codec codec{};
+  Presence presence{Presence::kOptional};
+  Guard guard{};
+  Check check{};
+
+  [[nodiscard]] constexpr Field required() const {
+    return {key, get, codec, Presence::kRequired, guard, check};
   }
-
-  [[nodiscard]] const JsonValue* opt(std::string_view key) {
-    consumed_.insert(std::string{key});
-    return v_.find(key);
+  [[nodiscard]] constexpr Field always() const {
+    return {key, get, codec, Presence::kAlways, guard, check};
   }
-
-  [[nodiscard]] const JsonValue& req(std::string_view key) {
-    const JsonValue* v = opt(key);
-    if (!v)
-      fail(SpecError::Code::kMissingField, path_of(key), v_.line,
-           "missing required field");
-    return *v;
+  template <typename P>
+  [[nodiscard]] constexpr auto only_if(Rule<P> g) const {
+    return Field<Get, Codec, Rule<P>, Check>{key, get, codec, presence, g, check};
   }
-
-  [[nodiscard]] std::string path_of(std::string_view key) const { return sub(path_, key); }
-
-  void finish() const {
-    for (const auto& [key, value] : v_.object)
-      if (!consumed_.count(key)) fail_unknown_field(path_, key, value.line);
+  template <typename P>
+  [[nodiscard]] constexpr auto must(Rule<P> c) const {
+    return Field<Get, Codec, Guard, Rule<P>>{key, get, codec, presence, guard, c};
   }
+};
 
- private:
-  const JsonValue& v_;
-  std::string path_;
-  std::set<std::string, std::less<>> consumed_;
+template <typename Get, typename Codec = ByType>
+[[nodiscard]] constexpr Field<Get, Codec> field(std::string_view key, Get get, Codec codec = {}) {
+  return {key, get, codec};
+}
+
+/// The accessor of a field whose codec reads and writes its whole owner.
+constexpr auto kSelf = [](auto& owner) -> auto& { return owner; };
+
+template <typename T>
+struct Scalar;
+
+/// The codec of field type F on owner type Owner.
+template <typename F, typename Owner>
+using CodecOf =
+    std::conditional_t<std::is_same_v<decltype(F::codec), ByType>,
+                       Scalar<std::remove_cvref_t<std::invoke_result_t<decltype(F::get), Owner&>>>,
+                       decltype(F::codec)>;
+
+template <const auto& Table, typename Owner>
+void read_object(const JsonValue& v, const Path& path, Owner& out);
+template <const auto& Table, typename Owner>
+[[nodiscard]] JsonValue write_object(const Owner& owner);
+template <const auto& Table>
+void list_fields(const std::string& prefix, std::vector<std::string>& out);
+
+// --- codecs ---------------------------------------------------------------
+//
+// A codec `read`s a JSON value into a member. Scalars `write` it back, elided
+// when equal to the default; composites `put` it into the owner's object or
+// leave it out, and `list` the keys they hold.
+
+template <>
+struct Scalar<bool> {
+  static void read(const JsonValue& x, const Path& at, bool& v) { v = bool_at(x, at); }
+  static JsonValue write(bool v) { return JsonValue::make_bool(v); }
+};
+
+template <std::integral T>
+struct Scalar<T> {
+  static void read(const JsonValue& x, const Path& at, T& v) { v = integer_at<T>(x, at); }
+  static JsonValue write(T v) {
+    using Wide = std::conditional_t<std::is_signed_v<T>, std::int64_t, std::uint64_t>;
+    return JsonValue::make_number(Wide{v});
+  }
+};
+
+template <>
+struct Scalar<double> {
+  static void read(const JsonValue& x, const Path& at, double& v) {
+    v = double_at(x, at);
+    if (!std::isfinite(v)) fail(SpecError::Code::kBadValue, at, x.line, "number out of range");
+  }
+  static JsonValue write(double v) { return JsonValue::make_number(v); }
+};
+
+template <>
+struct Scalar<std::string> {
+  static void read(const JsonValue& x, const Path& at, std::string& v) { v = string_at(x, at); }
+  static JsonValue write(const std::string& v) { return JsonValue::make_string(v); }
+};
+
+template <>
+struct Scalar<sim::Time> {
+  static void read(const JsonValue& x, const Path& at, sim::Time& v) {
+    v = time_at(string_at(x, at), at);
+  }
+  static JsonValue write(sim::Time v) { return JsonValue::make_string(format_time(v)); }
 };
 
 template <typename T>
-[[nodiscard]] T as_checked_unsigned(const JsonValue& v, const std::string& field) {
-  const std::uint64_t raw = v.as_u64(field);
-  if (raw > std::numeric_limits<T>::max())
-    fail(SpecError::Code::kBadValue, field, v.line, "value out of range");
-  return static_cast<T>(raw);
-}
-
-// --- schema: parse --------------------------------------------------------
-
-void parse_red_options(const JsonValue& v, const std::string& path, net::RedQueue::Options& red) {
-  ObjectReader r{v, path};
-  if (const auto* x = r.opt("min_threshold"))
-    red.min_threshold = x->as_double(r.path_of("min_threshold"));
-  if (const auto* x = r.opt("max_threshold"))
-    red.max_threshold = x->as_double(r.path_of("max_threshold"));
-  if (const auto* x = r.opt("max_drop_probability"))
-    red.max_drop_probability = x->as_double(r.path_of("max_drop_probability"));
-  if (const auto* x = r.opt("queue_weight"))
-    red.queue_weight = x->as_double(r.path_of("queue_weight"));
-  r.finish();
-}
-
-void parse_codel_options(const JsonValue& v, const std::string& path,
-                         net::CodelQueue::Options& codel) {
-  ObjectReader r{v, path};
-  if (const auto* x = r.opt("target"))
-    codel.target = parse_time(x->as_string(r.path_of("target")), r.path_of("target"));
-  if (const auto* x = r.opt("interval"))
-    codel.interval = parse_time(x->as_string(r.path_of("interval")), r.path_of("interval"));
-  r.finish();
-}
-
-DeviceSpec parse_device(const JsonValue& v, const std::string& path) {
-  ObjectReader r{v, path};
-  DeviceSpec d;
-  if (const auto* x = r.opt("rate"))
-    d.rate = parse_rate(x->as_string(r.path_of("rate")), r.path_of("rate"));
-  if (const auto* x = r.opt("ifq_packets"))
-    d.ifq_packets = as_checked_unsigned<std::size_t>(*x, r.path_of("ifq_packets"));
-  if (const auto* x = r.opt("qdisc")) {
-    const std::string& q = x->as_string(r.path_of("qdisc"));
-    if (q == "droptail") d.qdisc = QueueDiscipline::kDropTail;
-    else if (q == "red") d.qdisc = QueueDiscipline::kRed;
-    else if (q == "codel") d.qdisc = QueueDiscipline::kCodel;
-    else
-      fail(SpecError::Code::kBadValue, r.path_of("qdisc"), x->line,
-           "unknown qdisc '" + q + "' (expected \"droptail\", \"red\", or \"codel\")");
+struct Scalar<std::optional<T>> {
+  static void read(const JsonValue& x, const Path& at, std::optional<T>& v) {
+    Scalar<T>::read(x, at, v.emplace());
   }
-  if (const auto* x = r.opt("red")) {
-    if (d.qdisc != QueueDiscipline::kRed)
-      fail(SpecError::Code::kBadValue, r.path_of("red"), x->line,
-           "red options require \"qdisc\": \"red\"");
-    parse_red_options(*x, r.path_of("red"), d.red);
+  static JsonValue write(const std::optional<T>& v) {
+    return v ? Scalar<T>::write(*v) : JsonValue::make_null();  // not reached: nullopt is elided
   }
-  if (const auto* x = r.opt("codel")) {
-    if (d.qdisc != QueueDiscipline::kCodel)
-      fail(SpecError::Code::kBadValue, r.path_of("codel"), x->line,
-           "codel options require \"qdisc\": \"codel\"");
-    parse_codel_options(*x, r.path_of("codel"), d.codel);
+};
+
+template <>
+struct Scalar<net::DataRate> {
+  static void read(const JsonValue& x, const Path& at, net::DataRate& v) {
+    v = rate_at(string_at(x, at), at);
   }
-  if (const auto* x = r.opt("ecn_threshold"))
-    d.ecn_threshold = as_checked_unsigned<std::size_t>(*x, r.path_of("ecn_threshold"));
-  if (const auto* x = r.opt("name")) d.name = x->as_string(r.path_of("name"));
-  r.finish();
-  return d;
-}
+  static JsonValue write(net::DataRate v) { return JsonValue::make_string(format_rate(v)); }
+};
 
-LinkSpec parse_link(const JsonValue& v, const std::string& path) {
-  ObjectReader r{v, path};
-  LinkSpec l;
-  l.a = r.req("a").as_string(r.path_of("a"));
-  l.b = r.req("b").as_string(r.path_of("b"));
-  if (const auto* x = r.opt("delay"))
-    l.delay = parse_time(x->as_string(r.path_of("delay")), r.path_of("delay"));
-  if (const auto* x = r.opt("a_dev")) l.a_dev = parse_device(*x, r.path_of("a_dev"));
-  if (const auto* x = r.opt("b_dev")) l.b_dev = parse_device(*x, r.path_of("b_dev"));
-  r.finish();
-  return l;
-}
+template <typename T>
+struct Choice {
+  std::string_view name;
+  T value;
+};
 
-void parse_rtt_options(const JsonValue& v, const std::string& path,
-                       tcp::RttEstimator::Options& rtt) {
-  ObjectReader r{v, path};
-  if (const auto* x = r.opt("initial_rto"))
-    rtt.initial_rto = parse_time(x->as_string(r.path_of("initial_rto")), r.path_of("initial_rto"));
-  if (const auto* x = r.opt("min_rto"))
-    rtt.min_rto = parse_time(x->as_string(r.path_of("min_rto")), r.path_of("min_rto"));
-  if (const auto* x = r.opt("max_rto"))
-    rtt.max_rto = parse_time(x->as_string(r.path_of("max_rto")), r.path_of("max_rto"));
-  if (const auto* x = r.opt("alpha")) rtt.alpha = x->as_double(r.path_of("alpha"));
-  if (const auto* x = r.opt("beta")) rtt.beta = x->as_double(r.path_of("beta"));
-  if (const auto* x = r.opt("k"))
-    rtt.k = static_cast<int>(x->as_i64(r.path_of("k")));
-  r.finish();
-}
-
-void parse_sender_options(const JsonValue& v, const std::string& path,
-                          tcp::TcpSender::Options& o) {
-  ObjectReader r{v, path};
-  if (const auto* x = r.opt("mss"))
-    o.mss = as_checked_unsigned<std::uint32_t>(*x, r.path_of("mss"));
-  if (const auto* x = r.opt("initial_seq"))
-    o.initial_seq = as_checked_unsigned<std::uint32_t>(*x, r.path_of("initial_seq"));
-  if (const auto* x = r.opt("rwnd_limit_bytes"))
-    o.rwnd_limit_bytes = x->as_u64(r.path_of("rwnd_limit_bytes"));
-  if (const auto* x = r.opt("stall_retry_delay"))
-    o.stall_retry_delay =
-        parse_time(x->as_string(r.path_of("stall_retry_delay")), r.path_of("stall_retry_delay"));
-  if (const auto* x = r.opt("enable_sack")) o.enable_sack = x->as_bool(r.path_of("enable_sack"));
-  if (const auto* x = r.opt("cwnd_validation"))
-    o.cwnd_validation = x->as_bool(r.path_of("cwnd_validation"));
-  if (const auto* x = r.opt("trace_cwnd")) o.trace_cwnd = x->as_bool(r.path_of("trace_cwnd"));
-  if (const auto* x = r.opt("trace_stalls"))
-    o.trace_stalls = x->as_bool(r.path_of("trace_stalls"));
-  if (const auto* x = r.opt("rtt")) parse_rtt_options(*x, r.path_of("rtt"), o.rtt);
-  r.finish();
-}
-
-void parse_receiver_options(const JsonValue& v, const std::string& path,
-                            tcp::TcpReceiver::Options& o) {
-  ObjectReader r{v, path};
-  if (const auto* x = r.opt("initial_seq"))
-    o.initial_seq = as_checked_unsigned<std::uint32_t>(*x, r.path_of("initial_seq"));
-  if (const auto* x = r.opt("advertised_window"))
-    o.advertised_window = as_checked_unsigned<std::uint32_t>(*x, r.path_of("advertised_window"));
-  if (const auto* x = r.opt("ack_every"))
-    o.ack_every = static_cast<int>(x->as_i64(r.path_of("ack_every")));
-  if (const auto* x = r.opt("delayed_ack_timeout"))
-    o.delayed_ack_timeout = parse_time(x->as_string(r.path_of("delayed_ack_timeout")),
-                                       r.path_of("delayed_ack_timeout"));
-  if (const auto* x = r.opt("enable_sack")) o.enable_sack = x->as_bool(r.path_of("enable_sack"));
-  if (const auto* x = r.opt("quickack_segments"))
-    o.quickack_segments = x->as_u64(r.path_of("quickack_segments"));
-  r.finish();
-}
-
-void parse_fluid_options(const JsonValue& v, const std::string& path, net::FluidOptions& o) {
-  ObjectReader r{v, path};
-  if (const auto* x = r.opt("initial_rate"))
-    o.initial_rate = parse_rate(x->as_string(r.path_of("initial_rate")), r.path_of("initial_rate"));
-  if (const auto* x = r.opt("peak_rate"))
-    o.peak_rate = parse_rate(x->as_string(r.path_of("peak_rate")), r.path_of("peak_rate"));
-  if (const auto* x = r.opt("stride"))
-    o.stride = parse_time(x->as_string(r.path_of("stride")), r.path_of("stride"));
-  if (const auto* x = r.opt("packet_bytes"))
-    o.packet_bytes = as_checked_unsigned<std::uint32_t>(*x, r.path_of("packet_bytes"));
-  if (const auto* x = r.opt("rtt"))
-    o.rtt = parse_time(x->as_string(r.path_of("rtt")), r.path_of("rtt"));
-  if (const auto* x = r.opt("decrease")) {
-    const std::string field = r.path_of("decrease");
-    o.decrease = x->as_double(field);
-    if (o.decrease <= 0.0 || o.decrease >= 1.0)
-      fail(SpecError::Code::kBadValue, field, x->line, "decrease factor must be in (0, 1)");
-  }
-  r.finish();
-}
-
-FlowSpec parse_flow(const JsonValue& v, const std::string& path, std::string& cc) {
-  ObjectReader r{v, path};
-  FlowSpec f;
-  f.src = r.req("src").as_string(r.path_of("src"));
-  f.dst = r.req("dst").as_string(r.path_of("dst"));
-  if (const auto* x = r.opt("id"))
-    f.flow_id = as_checked_unsigned<std::uint32_t>(*x, r.path_of("id"));
-  if (const auto* x = r.opt("start"))
-    f.start = parse_time(x->as_string(r.path_of("start")), r.path_of("start"));
-  if (const auto* x = r.opt("model")) {
-    const std::string& m = x->as_string(r.path_of("model"));
-    if (m == "packet") f.model = TrafficModel::kPacket;
-    else if (m == "fluid") f.model = TrafficModel::kFluid;
-    else
-      fail(SpecError::Code::kBadValue, r.path_of("model"), x->line,
-           "unknown traffic model '" + m + "' (expected \"packet\" or \"fluid\")");
-  }
-  if (f.model == TrafficModel::kFluid) {
-    // A fluid aggregate has no TCP machinery: reject the packet-only
-    // fields outright instead of silently ignoring them.
-    for (const char* key : {"cc", "ecn", "sender", "receiver", "web100"}) {
-      if (const auto* x = r.opt(key))
-        fail(SpecError::Code::kBadValue, r.path_of(key), x->line,
-             std::string{"\""} + key + "\" is packet-only; a fluid flow takes its "
-             "dynamics from \"fluid\"");
+/// An enum spelled as one of the names in the array `C` of Choice.
+template <const auto& C>
+struct Named {
+  template <typename T>
+  static void read(const JsonValue& x, const Path& at, T& v) {
+    const std::string& name = string_at(x, at);
+    std::string expected;
+    for (const auto& c : C) {
+      if (c.name == name) {
+        v = c.value;
+        return;
+      }
+      expected += (expected.empty() ? "\"" : ", \"") + std::string{c.name} + "\"";
     }
-    if (const auto* x = r.opt("fluid")) parse_fluid_options(*x, r.path_of("fluid"), f.fluid);
-    cc = "reno";  // placeholder; never consulted for fluid flows
-    r.finish();
-    return f;
+    fail(SpecError::Code::kBadValue, at, x.line,
+         "unknown value '" + name + "' (expected one of " + expected + ")");
   }
-  if (const auto* x = r.opt("fluid"))
-    fail(SpecError::Code::kBadValue, r.path_of("fluid"), x->line,
-         "fluid options require \"model\": \"fluid\"");
-  cc = "reno";
-  if (const auto* x = r.opt("cc")) {
-    cc = x->as_string(r.path_of("cc"));
+  template <typename T>
+  static JsonValue write(const T& v) {
+    for (const auto& c : C)
+      if (c.value == v) return JsonValue::make_string(std::string{c.name});
+    return JsonValue::make_null();  // not reached for a value C can spell
+  }
+};
+
+/// A nested object, written when it holds a key.
+template <const auto& Table>
+struct Object {
+  template <typename T>
+  static void read(const JsonValue& x, const Path& at, T& v) {
+    read_object<Table>(x, at, v);
+  }
+  template <typename T>
+  static JsonValue write(const T& v) {
+    return write_object<Table>(v);
+  }
+  template <typename T>
+  static void put(JsonValue& out, std::string_view key, const T& v, bool always) {
+    JsonValue o = write_object<Table>(v);
+    if (always || !o.object.empty()) out.object.emplace_back(key, std::move(o));
+  }
+  static void list(const std::string& path, std::vector<std::string>& out) {
+    list_fields<Table>(path + ".", out);
+  }
+};
+
+/// Reads an array through `Derived::resize` and `Derived::read_element`,
+/// which sweep expansion also calls to read one element at a time.
+template <typename Derived>
+struct Elementwise {
+  template <typename T>
+  static void read(const JsonValue& x, const Path& at, T& v) {
+    if (!x.is_array()) fail(SpecError::Code::kWrongType, at, x.line, "expected an array");
+    Derived::resize(v, x.array.size());
+    for (std::size_t i = 0; i < x.array.size(); ++i) Derived::read_element(x.array[i], at, i, v);
+  }
+};
+
+/// An array, written unless empty.
+template <typename Elem>
+struct ArrayOf : Elementwise<ArrayOf<Elem>> {
+  template <typename T>
+  static void resize(std::vector<T>& v, std::size_t n) {
+    v.resize(n);
+  }
+  template <typename T>
+  static void read_element(const JsonValue& x, const Path& at, std::size_t i, std::vector<T>& v) {
+    T element{};
+    Elem::read(x, at[i], element);
+    v[i] = std::move(element);
+  }
+  template <typename T>
+  static void put(JsonValue& out, std::string_view key, const std::vector<T>& v, bool always) {
+    if (!always && v.empty()) return;
+    JsonValue a = JsonValue::make_array();
+    a.array.reserve(v.size());
+    for (const T& e : v) a.array.push_back(Elem::write(e));
+    out.object.emplace_back(key, std::move(a));
+  }
+  static void list(const std::string& path, std::vector<std::string>& out) {
+    if constexpr (requires { Elem::list(path, out); }) Elem::list(path + "[]", out);
+  }
+};
+
+/// A block whose presence sets the owner's `Flag` and whose keys are more of
+/// the owner's fields; a set flag is written, as {} when they are defaults.
+template <auto Flag, const auto& Table>
+struct Flagged : Object<Table> {
+  template <typename T>
+  static void read(const JsonValue& x, const Path& at, T& owner) {
+    owner.*Flag = true;
+    read_object<Table>(x, at, owner);
+  }
+  template <typename T>
+  static void put(JsonValue& out, std::string_view key, const T& owner, bool) {
+    if (owner.*Flag) out.object.emplace_back(key, write_object<Table>(owner));
+  }
+};
+
+/// A registered congestion-control variant name.
+struct CcName {
+  static void read(const JsonValue& x, const Path& at, std::string& v) {
+    v = string_at(x, at);
     try {
-      (void)factory_by_name(cc);
+      (void)factory_by_name(v);
     } catch (const std::invalid_argument&) {
       std::string known;
       for (const auto& n : variant_names()) known += (known.empty() ? "" : ", ") + n;
-      fail(SpecError::Code::kBadValue, r.path_of("cc"), x->line,
-           "unknown congestion-control variant '" + cc + "' (known: " + known + ")");
+      fail(SpecError::Code::kBadValue, at, x.line,
+           "unknown congestion-control variant '" + v + "' (known: " + known + ")");
     }
   }
-  if (const auto* x = r.opt("ecn")) f.ecn = x->as_bool(r.path_of("ecn"));
-  if (const auto* x = r.opt("sender")) parse_sender_options(*x, r.path_of("sender"), f.sender);
-  if (const auto* x = r.opt("receiver"))
-    parse_receiver_options(*x, r.path_of("receiver"), f.receiver);
-  if (const auto* x = r.opt("web100")) {
-    ObjectReader w{*x, r.path_of("web100")};
-    f.web100 = true;
-    if (const auto* p = w.opt("poll"))
-      f.web100_poll_period = parse_time(p->as_string(w.path_of("poll")), w.path_of("poll"));
-    w.finish();
-  }
-  r.finish();
-  return f;
-}
+  static JsonValue write(const std::string& v) { return JsonValue::make_string(v); }
+};
 
-SweepSpec parse_sweep(const JsonValue& v, const std::string& path) {
-  ObjectReader r{v, path};
-  SweepSpec sweep;
-  if (const auto* x = r.opt("mode")) {
-    const std::string& m = x->as_string(r.path_of("mode"));
-    if (m == "grid") sweep.mode = SweepSpec::Mode::kGrid;
-    else if (m == "zip") sweep.mode = SweepSpec::Mode::kZip;
-    else
-      fail(SpecError::Code::kBadValue, r.path_of("mode"), x->line,
-           "unknown sweep mode '" + m + "' (expected \"grid\" or \"zip\")");
-  }
-  const JsonValue& axes = r.req("axes");
-  if (!axes.is_array())
-    fail(SpecError::Code::kWrongType, r.path_of("axes"), axes.line, "expected an array");
-  for (std::size_t i = 0; i < axes.array.size(); ++i) {
-    const std::string axis_path = idx(r.path_of("axes"), i);
-    ObjectReader a{axes.array[i], axis_path};
-    SweepAxis axis;
-    axis.field = a.req("field").as_string(sub(axis_path, "field"));
-    const JsonValue& values = a.req("values");
-    if (!values.is_array())
-      fail(SpecError::Code::kWrongType, sub(axis_path, "values"), values.line,
-           "expected an array");
-    if (values.array.empty())
-      fail(SpecError::Code::kBadSweep, sub(axis_path, "values"), values.line,
-           "sweep axis has no values");
-    for (const auto& value : values.array) {
+/// A sweep axis's values: a non-empty array of scalars, kept as JSON.
+struct AxisValues {
+  static void read(const JsonValue& x, const Path& at, std::vector<JsonValue>& v) {
+    if (!x.is_array()) fail(SpecError::Code::kWrongType, at, x.line, "expected an array");
+    if (x.array.empty()) fail(SpecError::Code::kBadSweep, at, x.line, "sweep axis has no values");
+    for (const auto& value : x.array)
       if (value.is_array() || value.is_object())
-        fail(SpecError::Code::kBadSweep, sub(axis_path, "values"), value.line,
-             "sweep values must be scalars");
-      axis.values.push_back(value);
+        fail(SpecError::Code::kBadSweep, at, value.line, "sweep values must be scalars");
+    v = x.array;
+  }
+  static void put(JsonValue& out, std::string_view key, const std::vector<JsonValue>& v, bool) {
+    JsonValue a = JsonValue::make_array();
+    a.array = v;
+    out.object.emplace_back(key, std::move(a));
+  }
+};
+
+// --- the tables -----------------------------------------------------------
+
+constexpr Rule kAtLeastOne{[](auto n) { return n >= 1; }, "must be >= 1"};
+constexpr Rule kPositiveTime{[](sim::Time t) { return t > sim::Time::zero(); }, "must be > 0"};
+
+using RedOptions = net::RedQueue::Options;
+constexpr auto kRedFields = std::tuple{
+    field("min_threshold", &RedOptions::min_threshold),
+    field("max_threshold", &RedOptions::max_threshold),
+    field("max_drop_probability", &RedOptions::max_drop_probability),
+    field("queue_weight", &RedOptions::queue_weight)
+        .must(Rule{[](double w) { return w > 0.0 && w <= 1.0; }, "must be in (0, 1]"}),
+};
+
+using CodelOptions = net::CodelQueue::Options;
+constexpr auto kCodelFields = std::tuple{
+    field("target", &CodelOptions::target).must(kPositiveTime),
+    field("interval", &CodelOptions::interval).must(kPositiveTime),
+};
+
+constexpr Choice<QueueDiscipline> kQdiscs[] = {{"droptail", QueueDiscipline::kDropTail},
+                                               {"red", QueueDiscipline::kRed},
+                                               {"codel", QueueDiscipline::kCodel}};
+
+constexpr auto kDeviceFields = std::tuple{
+    field("rate", &DeviceSpec::rate),
+    field("ifq_packets", &DeviceSpec::ifq_packets).must(kAtLeastOne),
+    field("qdisc", &DeviceSpec::qdisc, Named<kQdiscs>{}),
+    field("red", &DeviceSpec::red, Object<kRedFields>{})
+        .only_if(Rule{[](const DeviceSpec& d) { return d.qdisc == QueueDiscipline::kRed; },
+                      "requires \"qdisc\": \"red\""})
+        .must(Rule{[](const RedOptions& r) { return r.min_threshold < r.max_threshold; },
+                   "min_threshold must be < max_threshold"}),
+    field("codel", &DeviceSpec::codel, Object<kCodelFields>{})
+        .only_if(Rule{[](const DeviceSpec& d) { return d.qdisc == QueueDiscipline::kCodel; },
+                      "requires \"qdisc\": \"codel\""}),
+    field("ecn_threshold", &DeviceSpec::ecn_threshold),
+    field("name", &DeviceSpec::name),
+};
+
+constexpr auto kLinkFields = std::tuple{
+    field("a", &LinkSpec::a).required(),
+    field("b", &LinkSpec::b).required(),
+    field("delay", &LinkSpec::delay).always(),
+    field("a_dev", &LinkSpec::a_dev, Object<kDeviceFields>{}),
+    field("b_dev", &LinkSpec::b_dev, Object<kDeviceFields>{}),
+};
+
+using RttOptions = tcp::RttEstimator::Options;
+constexpr auto kRttFields = std::tuple{
+    field("initial_rto", &RttOptions::initial_rto),
+    field("min_rto", &RttOptions::min_rto),
+    field("max_rto", &RttOptions::max_rto),
+    field("alpha", &RttOptions::alpha),
+    field("beta", &RttOptions::beta),
+    field("k", &RttOptions::k),
+};
+
+using SenderOptions = tcp::TcpSender::Options;
+constexpr auto kSenderFields = std::tuple{
+    field("mss", &SenderOptions::mss).must(kAtLeastOne),
+    field("initial_seq", &SenderOptions::initial_seq),
+    field("rwnd_limit_bytes", &SenderOptions::rwnd_limit_bytes),
+    field("stall_retry_delay", &SenderOptions::stall_retry_delay),
+    field("enable_sack", &SenderOptions::enable_sack),
+    field("cwnd_validation", &SenderOptions::cwnd_validation),
+    field("trace_cwnd", &SenderOptions::trace_cwnd),
+    field("trace_stalls", &SenderOptions::trace_stalls),
+    field("rtt", &SenderOptions::rtt, Object<kRttFields>{}),
+};
+
+using ReceiverOptions = tcp::TcpReceiver::Options;
+constexpr auto kReceiverFields = std::tuple{
+    field("initial_seq", &ReceiverOptions::initial_seq),
+    field("advertised_window", &ReceiverOptions::advertised_window),
+    field("ack_every", &ReceiverOptions::ack_every).must(kAtLeastOne),
+    field("delayed_ack_timeout", &ReceiverOptions::delayed_ack_timeout),
+    field("enable_sack", &ReceiverOptions::enable_sack),
+    field("quickack_segments", &ReceiverOptions::quickack_segments),
+};
+
+constexpr auto kWeb100Fields = std::tuple{
+    field("poll", &FlowDoc::web100_poll_period).must(kPositiveTime),
+};
+
+constexpr auto kFluidFields = std::tuple{
+    field("initial_rate", &net::FluidOptions::initial_rate),
+    field("peak_rate", &net::FluidOptions::peak_rate),
+    field("stride", &net::FluidOptions::stride).must(kPositiveTime),
+    field("packet_bytes", &net::FluidOptions::packet_bytes).must(kAtLeastOne),
+    field("rtt", &net::FluidOptions::rtt),
+    field("decrease", &net::FluidOptions::decrease)
+        .must(Rule{[](double d) { return d > 0.0 && d < 1.0; }, "must be in (0, 1)"}),
+};
+
+constexpr Choice<TrafficModel> kModels[] = {{"packet", TrafficModel::kPacket},
+                                            {"fluid", TrafficModel::kFluid}};
+
+// A fluid aggregate has no TCP machinery: its packet-only keys are errors,
+// not silently ignored.
+constexpr Rule kPacketOnly{[](const FlowSpec& f) { return f.model == TrafficModel::kPacket; },
+                           "is packet-only; a fluid flow takes its dynamics from \"fluid\""};
+
+constexpr auto kFlowFields = std::tuple{
+    field("src", &FlowDoc::src).required(),
+    field("dst", &FlowDoc::dst).required(),
+    field("id", &FlowDoc::flow_id),
+    field("start", &FlowDoc::start),
+    field("model", &FlowDoc::model, Named<kModels>{}),
+    field("fluid", &FlowDoc::fluid, Object<kFluidFields>{})
+        .only_if(Rule{[](const FlowSpec& f) { return f.model == TrafficModel::kFluid; },
+                      "requires \"model\": \"fluid\""}),
+    field("cc", &FlowDoc::cc, CcName{}).always().only_if(kPacketOnly),
+    field("ecn", &FlowDoc::ecn).only_if(kPacketOnly),
+    field("sender", &FlowDoc::sender, Object<kSenderFields>{}).only_if(kPacketOnly),
+    field("receiver", &FlowDoc::receiver, Object<kReceiverFields>{}).only_if(kPacketOnly),
+    field("web100", kSelf, Flagged<&FlowDoc::web100, kWeb100Fields>{}).only_if(kPacketOnly),
+};
+
+constexpr Choice<std::optional<sim::QueueBackend>> kBackends[] = {
+    {"binary_heap", sim::QueueBackend::kBinaryHeap},
+    {"calendar_queue", sim::QueueBackend::kCalendarQueue},
+    {"auto", std::nullopt}};
+
+constexpr Choice<PartitionStrategy> kStrategies[] = {{"auto", PartitionStrategy::kAuto},
+                                                     {"block", PartitionStrategy::kBlock}};
+
+constexpr auto kExecutionFields = std::tuple{
+    field("backend", &ExecutionPolicy::backend, Named<kBackends>{}),
+    field("partitions", &ExecutionPolicy::partitions).must(kAtLeastOne),
+    field("strategy", &ExecutionPolicy::strategy, Named<kStrategies>{}),
+    field("threads", &ExecutionPolicy::threads),
+};
+
+constexpr auto kRunFields = std::tuple{
+    field("duration", &RunSpec::duration),
+    field("measure_start", &RunSpec::measure_start),
+};
+
+constexpr Choice<SweepSpec::Mode> kSweepModes[] = {{"grid", SweepSpec::Mode::kGrid},
+                                                   {"zip", SweepSpec::Mode::kZip}};
+
+constexpr auto kAxisFields = std::tuple{
+    field("field", &SweepAxis::field).required(),
+    field("values", &SweepAxis::values, AxisValues{}).required(),
+};
+
+constexpr auto kSweepFields = std::tuple{
+    field("mode", &SweepSpec::mode, Named<kSweepModes>{}),
+    field("axes", &SweepSpec::axes, ArrayOf<Object<kAxisFields>>{}).required(),
+};
+
+/// The sweep block, written when it has axes.
+struct SweepBlock : Object<kSweepFields> {
+  static void put(JsonValue& out, std::string_view key, const SweepSpec& v, bool) {
+    if (!v.empty()) out.object.emplace_back(key, write_object<kSweepFields>(v));
+  }
+};
+
+/// The top-level "flows": each element reads as a FlowDoc, whose cc goes to
+/// ScenarioSpec::flow_cc and the rest to topology.flows.
+struct Flows : Elementwise<Flows> {
+  static void resize(ScenarioSpec& s, std::size_t n) {
+    s.topology.flows.resize(n);
+    s.flow_cc.resize(n);
+  }
+  static void read_element(const JsonValue& x, const Path& at, std::size_t i, ScenarioSpec& s) {
+    FlowDoc flow;
+    read_object<kFlowFields>(x, at[i], flow);
+    s.flow_cc[i] = std::move(flow.cc);
+    s.topology.flows[i] = std::move(static_cast<FlowSpec&>(flow));
+  }
+  static void put(JsonValue& out, std::string_view key, const ScenarioSpec& s, bool) {
+    const auto& flows = s.topology.flows;
+    if (flows.empty()) return;
+    JsonValue a = JsonValue::make_array();
+    a.array.reserve(flows.size());
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      const FlowDoc flow{flows[i], i < s.flow_cc.size() ? s.flow_cc[i] : "reno"};
+      a.array.push_back(write_object<kFlowFields>(flow));
     }
-    a.finish();
-    sweep.axes.push_back(std::move(axis));
+    out.object.emplace_back(key, std::move(a));
   }
-  if (sweep.mode == SweepSpec::Mode::kZip && !sweep.axes.empty()) {
-    const std::size_t len = sweep.axes.front().values.size();
-    for (const auto& axis : sweep.axes) {
-      if (axis.values.size() != len)
-        fail(SpecError::Code::kBadSweep, sub(path, "axes"), v.line,
-             "zip sweep axes must have equal lengths (axis '" +
-                 sweep.axes.front().field + "' has " + std::to_string(len) + ", axis '" +
-                 axis.field + "' has " + std::to_string(axis.values.size()) + ")");
-    }
+  static void list(const std::string& path, std::vector<std::string>& out) {
+    list_fields<kFlowFields>(path + "[].", out);
   }
-  r.finish();
-  return sweep;
-}
+};
 
-// --- schema: serialize ----------------------------------------------------
+/// The accessor of a ScenarioSpec's topology member `M`.
+template <auto M>
+constexpr auto kTopology = [](auto& s) -> auto& { return s.topology.*M; };
 
-JsonValue red_to_json(const net::RedQueue::Options& red) {
-  const net::RedQueue::Options def{};
-  JsonValue o = JsonValue::make_object();
-  if (red.min_threshold != def.min_threshold)
-    o.set("min_threshold", JsonValue::make_number(red.min_threshold));
-  if (red.max_threshold != def.max_threshold)
-    o.set("max_threshold", JsonValue::make_number(red.max_threshold));
-  if (red.max_drop_probability != def.max_drop_probability)
-    o.set("max_drop_probability", JsonValue::make_number(red.max_drop_probability));
-  if (red.queue_weight != def.queue_weight)
-    o.set("queue_weight", JsonValue::make_number(red.queue_weight));
-  return o;
-}
+/// The top level. Sweep expansion re-reads single members of it (kMembers).
+constexpr auto kScenarioFields = std::tuple{
+    field("name", &ScenarioSpec::name),
+    field("seed", kTopology<&TopologySpec::seed>),
+    // Deprecated alias for execution.backend; the builder resolves the
+    // precedence (execution wins).
+    field("backend", kTopology<&TopologySpec::backend>, Named<kBackends>{}),
+    field("execution", kTopology<&TopologySpec::execution>, Object<kExecutionFields>{}),
+    field("nodes", kTopology<&TopologySpec::nodes>, ArrayOf<Scalar<std::string>>{}).required(),
+    field("links", kTopology<&TopologySpec::links>, ArrayOf<Object<kLinkFields>>{}),
+    field("flows", kSelf, Flows{}),
+    field("run", &ScenarioSpec::run, Object<kRunFields>{}),
+    field("sweep", &ScenarioSpec::sweep, SweepBlock{}),
+};
 
-JsonValue codel_to_json(const net::CodelQueue::Options& codel) {
-  const net::CodelQueue::Options def{};
-  JsonValue o = JsonValue::make_object();
-  if (codel.target != def.target)
-    o.set("target", JsonValue::make_string(format_time(codel.target)));
-  if (codel.interval != def.interval)
-    o.set("interval", JsonValue::make_string(format_time(codel.interval)));
-  return o;
-}
+// --- walking a table ------------------------------------------------------
 
-JsonValue device_to_json(const DeviceSpec& d) {
-  const DeviceSpec def{};
-  JsonValue o = JsonValue::make_object();
-  if (d.rate != def.rate) o.set("rate", JsonValue::make_string(format_rate(d.rate)));
-  if (d.ifq_packets != def.ifq_packets)
-    o.set("ifq_packets", JsonValue::make_number(static_cast<std::uint64_t>(d.ifq_packets)));
-  if (d.qdisc == QueueDiscipline::kRed) {
-    o.set("qdisc", JsonValue::make_string("red"));
-    JsonValue red = red_to_json(d.red);
-    if (!red.object.empty()) o.set("red", std::move(red));
-  } else if (d.qdisc == QueueDiscipline::kCodel) {
-    o.set("qdisc", JsonValue::make_string("codel"));
-    JsonValue codel = codel_to_json(d.codel);
-    if (!codel.object.empty()) o.set("codel", std::move(codel));
+template <typename Owner, typename F>
+void read_field(const F& f, const JsonValue& object, const Path& path, Owner& out) {
+  const JsonValue* x = object.find(f.key);
+  if (!x) {
+    if (f.presence == Presence::kRequired)
+      fail(SpecError::Code::kMissingField, path / f.key, object.line, "missing required field");
+    return;
   }
-  if (d.ecn_threshold != def.ecn_threshold)
-    o.set("ecn_threshold",
-          JsonValue::make_number(static_cast<std::uint64_t>(d.ecn_threshold)));
-  if (!d.name.empty()) o.set("name", JsonValue::make_string(d.name));
-  return o;
+  const Path at = path / f.key;
+  if (!f.guard.ok(out))
+    fail(SpecError::Code::kBadValue, at, x->line,
+         "\"" + std::string{f.key} + "\" " + std::string{f.guard.what});
+  auto& value = std::invoke(f.get, out);
+  CodecOf<F, Owner>::read(*x, at, value);
+  if (!f.check.ok(value)) fail(SpecError::Code::kBadValue, at, x->line, std::string{f.check.what});
 }
 
-JsonValue link_to_json(const LinkSpec& l) {
-  JsonValue o = JsonValue::make_object();
-  o.set("a", JsonValue::make_string(l.a));
-  o.set("b", JsonValue::make_string(l.b));
-  o.set("delay", JsonValue::make_string(format_time(l.delay)));
-  JsonValue a_dev = device_to_json(l.a_dev);
-  if (!a_dev.object.empty()) o.set("a_dev", std::move(a_dev));
-  JsonValue b_dev = device_to_json(l.b_dev);
-  if (!b_dev.object.empty()) o.set("b_dev", std::move(b_dev));
-  return o;
-}
-
-JsonValue rtt_to_json(const tcp::RttEstimator::Options& rtt) {
-  const tcp::RttEstimator::Options def{};
-  JsonValue o = JsonValue::make_object();
-  if (rtt.initial_rto != def.initial_rto)
-    o.set("initial_rto", JsonValue::make_string(format_time(rtt.initial_rto)));
-  if (rtt.min_rto != def.min_rto)
-    o.set("min_rto", JsonValue::make_string(format_time(rtt.min_rto)));
-  if (rtt.max_rto != def.max_rto)
-    o.set("max_rto", JsonValue::make_string(format_time(rtt.max_rto)));
-  if (rtt.alpha != def.alpha) o.set("alpha", JsonValue::make_number(rtt.alpha));
-  if (rtt.beta != def.beta) o.set("beta", JsonValue::make_number(rtt.beta));
-  if (rtt.k != def.k) o.set("k", JsonValue::make_number(static_cast<std::int64_t>(rtt.k)));
-  return o;
-}
-
-JsonValue sender_to_json(const tcp::TcpSender::Options& o) {
-  const tcp::TcpSender::Options def{};
-  JsonValue j = JsonValue::make_object();
-  if (o.mss != def.mss) j.set("mss", JsonValue::make_number(static_cast<std::uint64_t>(o.mss)));
-  if (o.initial_seq != def.initial_seq)
-    j.set("initial_seq", JsonValue::make_number(static_cast<std::uint64_t>(o.initial_seq)));
-  if (o.rwnd_limit_bytes != def.rwnd_limit_bytes)
-    j.set("rwnd_limit_bytes", JsonValue::make_number(o.rwnd_limit_bytes));
-  if (o.stall_retry_delay != def.stall_retry_delay)
-    j.set("stall_retry_delay", JsonValue::make_string(format_time(o.stall_retry_delay)));
-  if (o.enable_sack != def.enable_sack) j.set("enable_sack", JsonValue::make_bool(o.enable_sack));
-  if (o.cwnd_validation != def.cwnd_validation)
-    j.set("cwnd_validation", JsonValue::make_bool(o.cwnd_validation));
-  if (o.trace_cwnd != def.trace_cwnd) j.set("trace_cwnd", JsonValue::make_bool(o.trace_cwnd));
-  if (o.trace_stalls != def.trace_stalls)
-    j.set("trace_stalls", JsonValue::make_bool(o.trace_stalls));
-  JsonValue rtt = rtt_to_json(o.rtt);
-  if (!rtt.object.empty()) j.set("rtt", std::move(rtt));
-  return j;
-}
-
-JsonValue receiver_to_json(const tcp::TcpReceiver::Options& o) {
-  const tcp::TcpReceiver::Options def{};
-  JsonValue j = JsonValue::make_object();
-  if (o.initial_seq != def.initial_seq)
-    j.set("initial_seq", JsonValue::make_number(static_cast<std::uint64_t>(o.initial_seq)));
-  if (o.advertised_window != def.advertised_window)
-    j.set("advertised_window",
-          JsonValue::make_number(static_cast<std::uint64_t>(o.advertised_window)));
-  if (o.ack_every != def.ack_every)
-    j.set("ack_every", JsonValue::make_number(static_cast<std::int64_t>(o.ack_every)));
-  if (o.delayed_ack_timeout != def.delayed_ack_timeout)
-    j.set("delayed_ack_timeout", JsonValue::make_string(format_time(o.delayed_ack_timeout)));
-  if (o.enable_sack != def.enable_sack) j.set("enable_sack", JsonValue::make_bool(o.enable_sack));
-  if (o.quickack_segments != def.quickack_segments)
-    j.set("quickack_segments", JsonValue::make_number(o.quickack_segments));
-  return j;
-}
-
-JsonValue fluid_to_json(const net::FluidOptions& o) {
-  const net::FluidOptions def{};
-  JsonValue j = JsonValue::make_object();
-  if (o.initial_rate != def.initial_rate)
-    j.set("initial_rate", JsonValue::make_string(format_rate(o.initial_rate)));
-  if (o.peak_rate != def.peak_rate)
-    j.set("peak_rate", JsonValue::make_string(format_rate(o.peak_rate)));
-  if (o.stride != def.stride) j.set("stride", JsonValue::make_string(format_time(o.stride)));
-  if (o.packet_bytes != def.packet_bytes)
-    j.set("packet_bytes", JsonValue::make_number(static_cast<std::uint64_t>(o.packet_bytes)));
-  if (o.rtt != def.rtt) j.set("rtt", JsonValue::make_string(format_time(o.rtt)));
-  if (o.decrease != def.decrease) j.set("decrease", JsonValue::make_number(o.decrease));
-  return j;
-}
-
-JsonValue flow_to_json(const FlowSpec& f, const std::string& cc) {
-  JsonValue o = JsonValue::make_object();
-  o.set("src", JsonValue::make_string(f.src));
-  o.set("dst", JsonValue::make_string(f.dst));
-  if (f.flow_id != 0)
-    o.set("id", JsonValue::make_number(static_cast<std::uint64_t>(f.flow_id)));
-  if (f.start) o.set("start", JsonValue::make_string(format_time(*f.start)));
-  if (f.model == TrafficModel::kFluid) {
-    o.set("model", JsonValue::make_string("fluid"));
-    JsonValue fluid = fluid_to_json(f.fluid);
-    if (!fluid.object.empty()) o.set("fluid", std::move(fluid));
-    return o;
+template <typename Owner, typename F>
+void write_field(const F& f, const Owner& owner, const Owner& def, JsonValue& out) {
+  if (!f.guard.ok(owner)) return;
+  using C = CodecOf<F, Owner>;
+  const auto& value = std::invoke(f.get, owner);
+  const bool always = f.presence != Presence::kOptional;
+  if constexpr (requires { C::put(out, f.key, value, always); }) {
+    C::put(out, f.key, value, always);
+  } else {
+    if (!always && value == std::invoke(f.get, def)) return;
+    out.object.emplace_back(f.key, C::write(value));
   }
-  o.set("cc", JsonValue::make_string(cc));
-  if (f.ecn) o.set("ecn", JsonValue::make_bool(true));
-  JsonValue sender = sender_to_json(f.sender);
-  if (!sender.object.empty()) o.set("sender", std::move(sender));
-  JsonValue receiver = receiver_to_json(f.receiver);
-  if (!receiver.object.empty()) o.set("receiver", std::move(receiver));
-  if (f.web100) {
-    JsonValue w = JsonValue::make_object();
-    if (f.web100_poll_period != FlowSpec{}.web100_poll_period)
-      w.set("poll", JsonValue::make_string(format_time(f.web100_poll_period)));
-    o.set("web100", std::move(w));
-  }
-  return o;
 }
 
-[[nodiscard]] std::optional<sim::QueueBackend> parse_backend_name(const JsonValue& x,
-                                                                  const std::string& field) {
-  const std::string& b = x.as_string(field);
-  if (b == "binary_heap") return sim::QueueBackend::kBinaryHeap;
-  if (b == "calendar_queue") return sim::QueueBackend::kCalendarQueue;
-  if (b == "auto") return std::nullopt;
-  fail(SpecError::Code::kBadValue, field, x.line,
-       "unknown backend '" + b +
-           "' (expected \"binary_heap\", \"calendar_queue\", or \"auto\")");
+template <typename F>
+void list_field(const F& f, const std::string& prefix, std::vector<std::string>& out) {
+  const std::string path = prefix + std::string{f.key};
+  out.push_back(path);
+  using C = decltype(F::codec);
+  if constexpr (requires { C::list(path, out); }) C::list(path, out);
 }
 
-[[nodiscard]] ExecutionPolicy parse_execution(const JsonValue& v, const std::string& path) {
-  ObjectReader r{v, path};
-  ExecutionPolicy policy;
-  if (const auto* x = r.opt("backend"))
-    policy.backend = parse_backend_name(*x, r.path_of("backend"));
-  if (const auto* x = r.opt("partitions")) {
-    const std::string field = r.path_of("partitions");
-    policy.partitions = static_cast<std::size_t>(x->as_u64(field));
-    if (policy.partitions == 0)
-      fail(SpecError::Code::kBadValue, field, x->line, "partitions must be >= 1");
-  }
-  if (const auto* x = r.opt("strategy")) {
-    const std::string field = r.path_of("strategy");
-    const std::string& s = x->as_string(field);
-    if (s == "auto") policy.strategy = PartitionStrategy::kAuto;
-    else if (s == "block") policy.strategy = PartitionStrategy::kBlock;
-    else
-      fail(SpecError::Code::kBadValue, field, x->line,
-           "unknown strategy '" + s + "' (expected \"auto\" or \"block\")");
-  }
-  if (const auto* x = r.opt("threads"))
-    policy.threads = static_cast<std::size_t>(x->as_u64(r.path_of("threads")));
-  if (const auto* x = r.opt("deterministic_merge"))
-    policy.deterministic_merge = x->as_bool(r.path_of("deterministic_merge"));
-  r.finish();
-  return policy;
-}
+/// Checks an object's fields together, after they are read and before its
+/// unknown keys are: only a zip sweep has such a check.
+void check_object(const auto&, const JsonValue&, const Path&) {}
 
-/// Defaults elided field-by-field so a spec that only sets `partitions`
-/// round-trips as exactly {"partitions": N}.
-[[nodiscard]] JsonValue execution_to_json(const ExecutionPolicy& policy) {
-  const ExecutionPolicy def{};
-  JsonValue o = JsonValue::make_object();
-  if (policy.backend)
-    o.set("backend", JsonValue::make_string(*policy.backend == sim::QueueBackend::kBinaryHeap
-                                                ? "binary_heap"
-                                                : "calendar_queue"));
-  if (policy.partitions != def.partitions)
-    o.set("partitions",
-          JsonValue::make_number(static_cast<std::uint64_t>(policy.partitions)));
-  if (policy.strategy != def.strategy) o.set("strategy", JsonValue::make_string("block"));
-  if (policy.threads != def.threads)
-    o.set("threads", JsonValue::make_number(static_cast<std::uint64_t>(policy.threads)));
-  if (policy.deterministic_merge != def.deterministic_merge)
-    o.set("deterministic_merge", JsonValue::make_bool(policy.deterministic_merge));
-  return o;
-}
-
-JsonValue sweep_to_json(const SweepSpec& sweep) {
-  JsonValue o = JsonValue::make_object();
-  if (sweep.mode == SweepSpec::Mode::kZip) o.set("mode", JsonValue::make_string("zip"));
-  JsonValue axes = JsonValue::make_array();
+void check_object(const SweepSpec& sweep, const JsonValue& v, const Path& path) {
+  if (sweep.mode != SweepSpec::Mode::kZip || sweep.axes.empty()) return;
+  const std::size_t len = sweep.axes.front().values.size();
   for (const auto& axis : sweep.axes) {
-    JsonValue a = JsonValue::make_object();
-    a.set("field", JsonValue::make_string(axis.field));
-    JsonValue values = JsonValue::make_array();
-    values.array = axis.values;
-    a.set("values", std::move(values));
-    axes.array.push_back(std::move(a));
+    if (axis.values.size() != len)
+      fail(SpecError::Code::kBadSweep, path / "axes", v.line,
+           "zip sweep axes must have equal lengths (axis '" + sweep.axes.front().field +
+               "' has " + std::to_string(len) + ", axis '" + axis.field + "' has " +
+               std::to_string(axis.values.size()) + ")");
   }
-  o.set("axes", std::move(axes));
-  return o;
 }
 
-// --- schema: the scenario document ----------------------------------------
+/// Reads every key of `Table` in order into `out`, which holds defaults,
+/// then rejects the first key the table does not have, so typos
+/// ("ifq_pakcets") fail with kUnknownField instead of running the default.
+template <const auto& Table, typename Owner>
+void read_object(const JsonValue& v, const Path& path, Owner& out) {
+  if (v.type != JsonValue::Type::kObject)
+    fail(SpecError::Code::kWrongType, path, v.line, "expected an object");
+  std::apply([&](const auto&... f) { (read_field(f, v, path, out), ...); }, Table);
+  check_object(out, v, path);
+  for (const auto& [key, value] : v.object)
+    if (!std::apply([&k = key](const auto&... f) { return ((f.key == k) || ...); }, Table))
+      fail_unknown_field(path, key, value.line);
+}
 
-/// One top-level member of a scenario document. parse_scenario_spec runs
-/// every member's `read`, in kMembers order, then rejects unknown keys. A
-/// read overwrites the member's whole part of the spec (an absent member
-/// resets it to its default), so sweep expansion can re-run the reads of
-/// the members its axes write on a copy of the base result. Array members
-/// can also be read element by element: `resize` sizes the spec's part and
-/// `element` reads one element into its slot.
+template <const auto& Table, typename Owner>
+JsonValue write_object(const Owner& owner) {
+  JsonValue out = JsonValue::make_object();
+  const Owner& def = defaults<Owner>();
+  std::apply([&](const auto&... f) { (write_field(f, owner, def, out), ...); }, Table);
+  return out;
+}
+
+template <const auto& Table>
+void list_fields(const std::string& prefix, std::vector<std::string>& out) {
+  std::apply([&](const auto&... f) { (list_field(f, prefix, out), ...); }, Table);
+}
+
+// --- the scenario document ------------------------------------------------
+
+/// One top-level member of a scenario document, for sweep expansion, which
+/// re-runs the reads of the members its axes write on a copy of the base
+/// result. `read` reads the member from `object` into the spec's part,
+/// which holds its default. Array members can also be read element by
+/// element: `resize` sizes the spec's part and `element` reads one element
+/// into its slot.
 struct Member {
-  using Read = void (*)(ObjectReader& r, ScenarioSpec& s);
-  using Resize = void (*)(ScenarioSpec& s, std::size_t n);
-  using Element = void (*)(const JsonValue& x, std::size_t i, ScenarioSpec& s);
-
   std::string_view key;
-  Read read;
-  Resize resize{nullptr};
-  Element element{nullptr};
+  void (*read)(const JsonValue& object, ScenarioSpec& s);
+  void (*resize)(ScenarioSpec& s, std::size_t n){nullptr};
+  void (*element)(const JsonValue& x, std::size_t i, ScenarioSpec& s){nullptr};
 };
 
-void read_name(ObjectReader& r, ScenarioSpec& s) {
-  const JsonValue* x = r.opt("name");
-  s.name = x ? x->as_string("name") : "scenario";
+template <std::size_t I>
+using MemberCodec =
+    CodecOf<std::remove_cvref_t<decltype(std::get<I>(kScenarioFields))>, ScenarioSpec>;
+
+template <std::size_t I>
+[[nodiscard]] auto& member_part(ScenarioSpec& s) {
+  return std::invoke(std::get<I>(kScenarioFields).get, s);
 }
 
-void read_seed(ObjectReader& r, ScenarioSpec& s) {
-  const JsonValue* x = r.opt("seed");
-  s.topology.seed = x ? x->as_u64("seed") : TopologySpec{}.seed;
+template <std::size_t I>
+void read_member(const JsonValue& object, ScenarioSpec& s) {
+  read_field(std::get<I>(kScenarioFields), object, Path{}, s);
 }
 
-// Top-level "backend" is the deprecated alias for execution.backend; both
-// parse, and the builder resolves the precedence (execution wins).
-void read_backend(ObjectReader& r, ScenarioSpec& s) {
-  const JsonValue* x = r.opt("backend");
-  s.topology.backend = x ? parse_backend_name(*x, "backend") : std::nullopt;
+template <std::size_t I>
+void resize_member(ScenarioSpec& s, std::size_t n) {
+  MemberCodec<I>::resize(member_part<I>(s), n);
 }
 
-void read_execution(ObjectReader& r, ScenarioSpec& s) {
-  const JsonValue* x = r.opt("execution");
-  s.topology.execution = x ? parse_execution(*x, "execution") : ExecutionPolicy{};
+template <std::size_t I>
+void read_member_element(const JsonValue& x, std::size_t i, ScenarioSpec& s) {
+  const Path root;
+  MemberCodec<I>::read_element(x, root / std::get<I>(kScenarioFields).key, i,
+                               member_part<I>(s));
 }
 
-/// Reads array member `key` (`x`, nullptr when absent) element by element.
-void read_array(const JsonValue* x, const std::string& key, ScenarioSpec& s,
-                Member::Resize resize, Member::Element element) {
-  if (x && !x->is_array()) fail(SpecError::Code::kWrongType, key, x->line, "expected an array");
-  const std::size_t n = x ? x->array.size() : 0;
-  resize(s, n);
-  for (std::size_t i = 0; i < n; ++i) element(x->array[i], i, s);
+template <std::size_t I>
+[[nodiscard]] constexpr Member member() {
+  const std::string_view key = std::get<I>(kScenarioFields).key;
+  if constexpr (requires(ScenarioSpec& s) { MemberCodec<I>::resize(member_part<I>(s), 0); })
+    return {key, &read_member<I>, &resize_member<I>, &read_member_element<I>};
+  else
+    return {key, &read_member<I>};
 }
 
-void resize_nodes(ScenarioSpec& s, std::size_t n) { s.topology.nodes.resize(n); }
-
-void read_node(const JsonValue& x, std::size_t i, ScenarioSpec& s) {
-  s.topology.nodes[i] = x.as_string(idx("nodes", i));
+template <std::size_t... Is>
+[[nodiscard]] constexpr std::array<Member, sizeof...(Is)> members(std::index_sequence<Is...>) {
+  return {member<Is>()...};
 }
 
-void read_nodes(ObjectReader& r, ScenarioSpec& s) {
-  read_array(&r.req("nodes"), "nodes", s, resize_nodes, read_node);
-}
-
-void resize_links(ScenarioSpec& s, std::size_t n) { s.topology.links.resize(n); }
-
-void read_link(const JsonValue& x, std::size_t i, ScenarioSpec& s) {
-  s.topology.links[i] = parse_link(x, idx("links", i));
-}
-
-void read_links(ObjectReader& r, ScenarioSpec& s) {
-  read_array(r.opt("links"), "links", s, resize_links, read_link);
-}
-
-void resize_flows(ScenarioSpec& s, std::size_t n) {
-  s.topology.flows.resize(n);
-  s.flow_cc.resize(n);
-}
-
-void read_flow(const JsonValue& x, std::size_t i, ScenarioSpec& s) {
-  s.topology.flows[i] = parse_flow(x, idx("flows", i), s.flow_cc[i]);
-}
-
-void read_flows(ObjectReader& r, ScenarioSpec& s) {
-  read_array(r.opt("flows"), "flows", s, resize_flows, read_flow);
-}
-
-void read_run(ObjectReader& r, ScenarioSpec& s) {
-  s.run = RunSpec{};
-  const JsonValue* run = r.opt("run");
-  if (!run) return;
-  ObjectReader rr{*run, "run"};
-  if (const auto* x = rr.opt("duration"))
-    s.run.duration = parse_time(x->as_string("run.duration"), "run.duration");
-  if (const auto* x = rr.opt("measure_start"))
-    s.run.measure_start = parse_time(x->as_string("run.measure_start"), "run.measure_start");
-  rr.finish();
-}
-
-void read_sweep(ObjectReader& r, ScenarioSpec& s) {
-  const JsonValue* x = r.opt("sweep");
-  s.sweep = x ? parse_sweep(*x, "sweep") : SweepSpec{};
-}
-
-constexpr Member kMembers[] = {
-    {"name", read_name},
-    {"seed", read_seed},
-    {"backend", read_backend},
-    {"execution", read_execution},
-    {"nodes", read_nodes, resize_nodes, read_node},
-    {"links", read_links, resize_links, read_link},
-    {"flows", read_flows, resize_flows, read_flow},
-    {"run", read_run},
-    {"sweep", read_sweep},
-};
+constexpr auto kMembers =
+    members(std::make_index_sequence<std::tuple_size_v<decltype(kScenarioFields)>>{});
 
 [[nodiscard]] const Member* find_member(std::string_view key) {
   for (const Member& m : kMembers)
@@ -1299,10 +1337,8 @@ std::size_t SweepSpec::point_count() const {
 }
 
 ScenarioSpec parse_scenario_spec(const JsonValue& document) {
-  ObjectReader r{document, ""};
-  ScenarioSpec s;
-  for (const Member& m : kMembers) m.read(r, s);
-  r.finish();
+  ScenarioSpec s = defaults<ScenarioSpec>();
+  read_object<kScenarioFields>(document, Path{}, s);
   return s;
 }
 
@@ -1335,56 +1371,17 @@ void check_scenario_spec(const ScenarioSpec& spec) {
 }
 
 JsonValue scenario_spec_to_json(const ScenarioSpec& spec) {
-  JsonValue root = JsonValue::make_object();
-  if (spec.name != "scenario") root.set("name", JsonValue::make_string(spec.name));
-  if (spec.topology.seed != TopologySpec{}.seed)
-    root.set("seed", JsonValue::make_number(spec.topology.seed));
-  if (spec.topology.backend) {
-    root.set("backend",
-             JsonValue::make_string(*spec.topology.backend == sim::QueueBackend::kBinaryHeap
-                                        ? "binary_heap"
-                                        : "calendar_queue"));
-  }
-  // Emitted only when non-default, so pre-execution specs (and all the
-  // goldens) stay byte-identical through a round trip.
-  if (!spec.topology.execution.is_default())
-    root.set("execution", execution_to_json(spec.topology.execution));
-
-  JsonValue nodes = JsonValue::make_array();
-  for (const auto& n : spec.topology.nodes) nodes.array.push_back(JsonValue::make_string(n));
-  root.set("nodes", std::move(nodes));
-
-  if (!spec.topology.links.empty()) {
-    JsonValue links = JsonValue::make_array();
-    for (const auto& l : spec.topology.links) links.array.push_back(link_to_json(l));
-    root.set("links", std::move(links));
-  }
-
-  if (!spec.topology.flows.empty()) {
-    JsonValue flows = JsonValue::make_array();
-    for (std::size_t i = 0; i < spec.topology.flows.size(); ++i) {
-      const std::string cc = i < spec.flow_cc.size() ? spec.flow_cc[i] : "reno";
-      flows.array.push_back(flow_to_json(spec.topology.flows[i], cc));
-    }
-    root.set("flows", std::move(flows));
-  }
-
-  const RunSpec run_def{};
-  if (spec.run.duration != run_def.duration || spec.run.measure_start != run_def.measure_start) {
-    JsonValue run = JsonValue::make_object();
-    if (spec.run.duration != run_def.duration)
-      run.set("duration", JsonValue::make_string(format_time(spec.run.duration)));
-    if (spec.run.measure_start != run_def.measure_start)
-      run.set("measure_start", JsonValue::make_string(format_time(spec.run.measure_start)));
-    root.set("run", std::move(run));
-  }
-
-  if (!spec.sweep.empty()) root.set("sweep", sweep_to_json(spec.sweep));
-  return root;
+  return write_object<kScenarioFields>(spec);
 }
 
 std::string serialize_scenario_spec(const ScenarioSpec& spec) {
   return json_serialize(scenario_spec_to_json(spec));
+}
+
+std::vector<std::string> schema_fields() {
+  std::vector<std::string> fields;
+  list_fields<kScenarioFields>("", fields);
+  return fields;
 }
 
 // --- sweep expansion ------------------------------------------------------
@@ -1513,7 +1510,7 @@ struct WrittenPart {
   }
 
   [[nodiscard]] ParsePosition position() const {
-    return {static_cast<std::size_t>(member - kMembers), element ? *element + 1 : 0};
+    return {static_cast<std::size_t>(member - kMembers.data()), element ? *element + 1 : 0};
   }
 
   void read(ScenarioSpec& s) const {
@@ -1521,8 +1518,7 @@ struct WrittenPart {
       member->element(value, *element, s);
       return;
     }
-    ObjectReader r{value, ""};
-    member->read(r, s);
+    member->read(value, s);
   }
 
   /// A whole member's value after this point's writes.
@@ -1552,7 +1548,7 @@ struct AxisWrite {
 /// kept with its position rather than thrown, because a point whose own
 /// parts fail earlier in parse order must report its own error.
 struct BaseParse {
-  ScenarioSpec spec;
+  ScenarioSpec spec = defaults<ScenarioSpec>();
   std::exception_ptr error;
   ParsePosition error_at;
 };
@@ -1560,7 +1556,6 @@ struct BaseParse {
 [[nodiscard]] BaseParse parse_base(const JsonValue& document,
                                    const std::vector<WrittenPart>& parts) {
   BaseParse base;
-  ObjectReader r{document, ""};
   for (std::size_t m = 0; m < std::size(kMembers); ++m) {
     const Member& member = kMembers[m];
     // A point has no sweep of its own, so it keeps the default.
@@ -1575,7 +1570,7 @@ struct BaseParse {
     std::size_t at = 0;
     try {
       if (elements.empty()) {
-        member.read(r, base.spec);
+        member.read(document, base.spec);
         continue;
       }
       // Element parts exist only where the base member is an array.
@@ -1596,17 +1591,17 @@ struct BaseParse {
 }
 
 /// Rejects a point's first top-level key the schema does not know, as
-/// ObjectReader::finish would: the base document's keys in order, then the
+/// read_object would: the base document's keys in order, then the
 /// keys the axes created, in the order they created them.
 void check_point_keys(const JsonValue& document, const std::vector<WrittenPart>& parts) {
   for (const auto& [key, value] : document.object) {
     if (find_member(key)) continue;
     const auto part = std::find_if(parts.begin(), parts.end(),
                                    [&](const WrittenPart& p) { return p.key == key; });
-    fail_unknown_field("", key, part != parts.end() ? part->written().line : value.line);
+    fail_unknown_field(Path{}, key, part != parts.end() ? part->written().line : value.line);
   }
   for (const WrittenPart& part : parts)
-    if (!part.member && !part.base) fail_unknown_field("", part.key, part.written().line);
+    if (!part.member && !part.base) fail_unknown_field(Path{}, part.key, part.written().line);
 }
 
 }  // namespace
@@ -1621,7 +1616,9 @@ std::vector<SweepPoint> expand_scenario_spec(const JsonValue& document) {
     point.spec = parse_scenario_spec(document);
     return {std::move(point)};
   }
-  const SweepSpec sweep = parse_sweep(*sweep_json, "sweep");
+  SweepSpec sweep;
+  const Path root;
+  read_object<kSweepFields>(*sweep_json, root / "sweep", sweep);
   const std::size_t points = sweep.point_count();
 
   // Each point is the base document (everything except the sweep block)

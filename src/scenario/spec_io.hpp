@@ -171,7 +171,7 @@ struct ScenarioSpec {
 };
 
 /// Parse a scenario document (strict: unknown keys throw). Validates field
-/// types, units, cc names and sweep structure; topology-graph validity
+/// types, units, value ranges, cc names and sweep structure; topology-graph validity
 /// (dangling endpoints, duplicate links, unroutable flows) is checked by
 /// check_scenario_spec below, matching where the C++ builder checks it.
 [[nodiscard]] ScenarioSpec parse_scenario_spec(std::string_view json_text);
@@ -195,6 +195,12 @@ void check_scenario_spec(const ScenarioSpec& spec);
 /// and serialize∘parse is byte-stable.
 [[nodiscard]] std::string serialize_scenario_spec(const ScenarioSpec& spec);
 [[nodiscard]] JsonValue scenario_spec_to_json(const ScenarioSpec& spec);
+
+/// Every key path the parser accepts, in document order, with "[]" for an
+/// array element: "name", ..., "links[].a_dev.red.min_threshold", ....
+/// One field table per spec object drives parsing, serialization and this
+/// list, so the list is the documented surface of docs/spec-format.md.
+[[nodiscard]] std::vector<std::string> schema_fields();
 
 // --------------------------------------------------------------------------
 // Sweep expansion. Substitution happens on the JSON document: each point is

@@ -51,8 +51,8 @@ void check_edges(std::size_t node_count, const std::vector<PartitionEdge>& edges
 }
 
 /// Relabel union-find roots to contiguous partition ids in node order, so
-/// the labels (and everything derived from them — channel ids, merge
-/// order) depend only on the spec.
+/// the labels (and everything derived from them, such as channel order)
+/// depend only on the spec.
 std::vector<std::uint32_t> renumber(DisjointSets& sets, std::size_t node_count) {
   constexpr std::uint32_t kUnlabeled = 0xFFFF'FFFFu;
   std::vector<std::uint32_t> root_label(node_count, kUnlabeled);
@@ -157,8 +157,6 @@ PartitionedEngine::PartitionedEngine(std::vector<Simulation*> partitions,
   if (!options_.lookahead.is_infinite() && options_.lookahead < Time::nanoseconds(1))
     throw std::invalid_argument("PartitionedEngine: lookahead must be at least 1ns");
   inbound_.resize(sims_.size());
-  merge_scratch_.resize(sims_.size());
-  for (auto& scratch : merge_scratch_) scratch.reserve(256);
   handoffs_.assign(sims_.size(), 0);
 }
 
@@ -167,9 +165,8 @@ HandoffChannel& PartitionedEngine::add_channel(std::size_t src, std::size_t dst)
     throw std::out_of_range("PartitionedEngine: channel partition out of range");
   if (src == dst)
     throw std::invalid_argument("PartitionedEngine: channel within one partition");
-  const auto id = static_cast<std::uint32_t>(channels_.size());
-  channels_.emplace_back(id);
-  inbound_[dst].push_back(id);
+  inbound_[dst].push_back(static_cast<std::uint32_t>(channels_.size()));
+  channels_.emplace_back();
   return channels_.back();
 }
 
@@ -222,28 +219,15 @@ void PartitionedEngine::run_window(std::size_t worker, std::size_t workers) {
 }
 
 void PartitionedEngine::drain_partition(std::size_t p) {
-  auto& scratch = merge_scratch_[p];
-  scratch.clear();
   for (const std::uint32_t id : inbound_[p]) {
-    for (const StagedHandoff& h : channels_[id].staged()) scratch.push_back(&h);
+    HandoffChannel& channel = channels_[id];
+    for (const StagedHandoff& h : channel.staged()) {
+      assert(h.deliver_at > sims_[p]->now() && "conservative lookahead violated");
+      h.deliver(h.endpoint, h.payload, h.deliver_at, h.staged_at, h.origin, h.rank);
+    }
+    handoffs_[p] += channel.staged().size();
+    channel.clear();
   }
-  if (scratch.empty()) return;
-  if (options_.deterministic_merge) {
-    std::sort(scratch.begin(), scratch.end(),
-              [](const StagedHandoff* x, const StagedHandoff* y) {
-                if (x->deliver_at != y->deliver_at) return x->deliver_at < y->deliver_at;
-                if (x->staged_at != y->staged_at) return x->staged_at < y->staged_at;
-                if (x->channel != y->channel) return x->channel < y->channel;
-                return x->seq < y->seq;
-              });
-  }
-  for (const StagedHandoff* h : scratch) {
-    assert(h->deliver_at > sims_[p]->now() && "conservative lookahead violated");
-    h->deliver(h->endpoint, h->payload, h->deliver_at, h->staged_at, h->origin, h->rank);
-  }
-  handoffs_[p] += scratch.size();
-  for (const std::uint32_t id : inbound_[p]) channels_[id].clear();
-  scratch.clear();
 }
 
 void PartitionedEngine::record_error() noexcept {

@@ -89,18 +89,13 @@ using HandoffDeliverFn = void (*)(void* endpoint, const std::byte* payload, Time
 
 /// One staged cross-partition event, written by the source partition during
 /// a window and consumed by the destination during the drain phase.
-/// (staged_at, channel, seq) is the deterministic-merge tiebreak: together
-/// with deliver_at it totally orders every handoff a partition receives,
-/// independent of which thread staged what first. (origin, rank) ride
-/// along untouched — they are the *scheduler* tie-break the delivery is
-/// armed with, which makes the destination's pop order independent of the
-/// merge's insertion order entirely.
+/// (deliver_at, staged_at, origin, rank) is the scheduler key the delivery
+/// is armed with: it is intrinsic to the sender, so the destination's pop
+/// order does not depend on the order in which handoffs are drained.
 struct StagedHandoff {
   Time deliver_at{};
   Time staged_at{};
-  std::uint32_t channel{0};
   std::uint32_t origin{0};
-  std::uint64_t seq{0};
   std::uint64_t rank{0};
   HandoffDeliverFn deliver{nullptr};
   void* endpoint{nullptr};
@@ -116,12 +111,10 @@ struct StagedHandoff {
 /// by different threads don't false-share.
 class alignas(64) HandoffChannel {
  public:
-  explicit HandoffChannel(std::uint32_t id) : id_{id} { staged_.reserve(kInitialCapacity); }
+  HandoffChannel() { staged_.reserve(kInitialCapacity); }
 
   HandoffChannel(const HandoffChannel&) = delete;
   HandoffChannel& operator=(const HandoffChannel&) = delete;
-
-  [[nodiscard]] std::uint32_t id() const { return id_; }
 
   /// Stage `payload` for delivery at `deliver_at`; called by the source
   /// partition's thread while its window executes, with `staged_at` its
@@ -139,9 +132,7 @@ class alignas(64) HandoffChannel {
     StagedHandoff& h = staged_.emplace_back();
     h.deliver_at = deliver_at;
     h.staged_at = staged_at;
-    h.channel = id_;
     h.origin = origin;
-    h.seq = next_seq_++;
     h.rank = rank;
     h.deliver = fn;
     h.endpoint = endpoint;
@@ -151,14 +142,9 @@ class alignas(64) HandoffChannel {
   [[nodiscard]] const std::vector<StagedHandoff>& staged() const { return staged_; }
   void clear() { staged_.clear(); }
 
-  /// Total handoffs ever staged (monotone; read between runs).
-  [[nodiscard]] std::uint64_t total_staged() const { return next_seq_; }
-
  private:
   static constexpr std::size_t kInitialCapacity = 256;
 
-  std::uint32_t id_;
-  std::uint64_t next_seq_{0};
   std::vector<StagedHandoff> staged_;
 };
 
@@ -179,17 +165,15 @@ class alignas(64) HandoffChannel {
 ///      partitions it owns; the barrier completion computes the window.
 ///   2. window:  each worker runs its partitions to the window end; cross
 ///      partition sends are staged into HandoffChannels, never applied.
-///   3. drain:   after the second barrier, each worker merges the channels
-///      inbound to its partitions — sorted by (deliver_at, staged_at,
-///      channel, seq) — and hands each delivery to its endpoint (a link's
-///      wire), which arms it with staged_at as the birth time and the
-///      staged (origin, rank) pair as the intrinsic tie-break key
-///      (Scheduler::schedule_at_imported). The sort makes the destination
-///      scheduler's insertion order a pure function of the spec, so runs
-///      are deterministic regardless of thread count or timing; the
-///      (birth, origin, rank) key makes same-timestamp pop order match the
-///      single-scheduler run exactly, independent even of that insertion
-///      order.
+///   3. drain:   after the second barrier, each worker hands every
+///      delivery staged on the channels inbound to its partitions to its
+///      endpoint (a link's wire), channel by channel, unsorted. The wire
+///      keeps its packets sorted by the scheduler key each is armed with:
+///      staged_at as the birth time and the staged (origin, rank) pair as
+///      the intrinsic tie-break (Scheduler::schedule_at_imported). That key
+///      is the sender's, so same-timestamp pop order matches the
+///      single-scheduler run exactly whatever order the drain inserts in,
+///      and runs are deterministic regardless of thread count or timing.
 ///
 /// Worker w owns partitions {p : p % workers == w}; with threads == 1 the
 /// same round structure runs inline on the calling thread with no barriers,
@@ -206,10 +190,6 @@ class PartitionedEngine {
     /// hardware_concurrency() report of 0 (permitted by the standard) falls
     /// back to 1.
     std::size_t threads{0};
-    /// Sort merged handoffs before scheduling (see class comment). Turning
-    /// this off keeps runs deterministic only for single-channel
-    /// partitions; it exists to measure the cost of the sort.
-    bool deterministic_merge{true};
   };
 
   /// `partitions[p]` must outlive the engine; each Simulation is driven
@@ -220,9 +200,9 @@ class PartitionedEngine {
   PartitionedEngine& operator=(const PartitionedEngine&) = delete;
 
   /// Register a staging channel for cross-partition traffic flowing
-  /// src -> dst. Call during wiring, before the first run_until(). Channel
-  /// ids follow registration order, which makes them (and the merge order)
-  /// deterministic for a given spec. Returned reference is stable.
+  /// src -> dst. Call during wiring, before the first run_until(). The
+  /// drain visits a partition's inbound channels in registration order.
+  /// Returned reference is stable.
   HandoffChannel& add_channel(std::size_t src, std::size_t dst);
 
   /// Advance every partition to exactly `target` (events at `target`
@@ -234,7 +214,7 @@ class PartitionedEngine {
   [[nodiscard]] const Options& options() const { return options_; }
   /// Safe windows executed across all run_until() calls.
   [[nodiscard]] std::uint64_t windows_executed() const { return windows_; }
-  /// Cross-partition deliveries actually merged and scheduled.
+  /// Cross-partition deliveries actually drained and scheduled.
   [[nodiscard]] std::uint64_t handoffs_delivered() const;
 
  private:
@@ -255,7 +235,6 @@ class PartitionedEngine {
   Options options_;
   std::deque<HandoffChannel> channels_;
   std::vector<std::vector<std::uint32_t>> inbound_;  // per partition: channel ids
-  std::vector<std::vector<const StagedHandoff*>> merge_scratch_;  // per partition
   std::vector<Time> local_min_;      // per worker, written before the publish barrier
   std::vector<std::uint64_t> handoffs_;  // per partition, owner-written
   Time window_end_{Time::zero()};    // written by advance_window only

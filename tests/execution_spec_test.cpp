@@ -37,14 +37,13 @@ constexpr const char* kMinimalTopology = R"({
 TEST(ExecutionSpec, ParsesEveryField) {
   const ScenarioSpec s = parse_scenario_spec(with_execution(
       R"({"backend": "calendar_queue", "partitions": 4, "strategy": "block",
-          "threads": 8, "deterministic_merge": false})"));
+          "threads": 8})"));
   const ExecutionPolicy& p = s.topology.execution;
   ASSERT_TRUE(p.backend.has_value());
   EXPECT_EQ(*p.backend, sim::QueueBackend::kCalendarQueue);
   EXPECT_EQ(p.partitions, 4u);
   EXPECT_EQ(p.strategy, PartitionStrategy::kBlock);
   EXPECT_EQ(p.threads, 8u);
-  EXPECT_FALSE(p.deterministic_merge);
 }
 
 TEST(ExecutionSpec, DefaultsWhenAbsent) {
@@ -60,6 +59,18 @@ TEST(ExecutionSpec, UnknownFieldIsTypedError) {
   } catch (const SpecError& e) {
     EXPECT_EQ(e.code(), SpecError::Code::kUnknownField);
     EXPECT_EQ(e.field(), "execution.paritions");
+  }
+}
+
+TEST(ExecutionSpec, RemovedDeterministicMergeKeyIsUnknown) {
+  // The partition drain no longer sorts, so the key that switched the sort
+  // is gone from the format.
+  try {
+    (void)parse_scenario_spec(with_execution(R"({"deterministic_merge": true})"));
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    EXPECT_EQ(e.code(), SpecError::Code::kUnknownField);
+    EXPECT_EQ(e.field(), "execution.deterministic_merge");
   }
 }
 

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -314,6 +317,287 @@ TEST(ScenarioSpecTest, FlowOptionsRoundTripThroughTheSchema) {
   EXPECT_EQ(serialize_scenario_spec(parse_scenario_spec(once)), once);
 }
 
+// --- the writer's elision rules -------------------------------------------
+
+TEST(SpecWriterTest, KeepsTheFormatsElisionRules) {
+  ScenarioSpec s;
+  s.name = "";  // only the default name, "scenario", is elided
+  s.topology.nodes = {"a", "b"};
+  LinkSpec link;
+  link.a = "a";
+  link.b = "b";                                // delay at its default: written anyway
+  link.a_dev.red.min_threshold = 5;            // not written: a_dev is drop-tail
+  link.b_dev.qdisc = QueueDiscipline::kCodel;  // default codel block: not written
+  s.topology.links = {link};
+  FlowSpec packet;
+  packet.src = "a";
+  packet.dst = "b";
+  packet.flow_id = 7;
+  packet.web100 = true;  // at the default poll: written as {}
+  FlowSpec fluid;
+  fluid.src = "b";
+  fluid.dst = "a";
+  fluid.model = TrafficModel::kFluid;
+  fluid.sender.mss = 1000;  // packet-only: not written for a fluid flow
+  fluid.web100 = true;
+  fluid.fluid.decrease = 0.75;
+  s.topology.flows = {packet, fluid};
+  s.flow_cc = {"cubic"};  // a flow past the end of flow_cc writes "reno"
+  s.topology.execution.threads = 2;
+  s.run.measure_start = 1_s;
+  EXPECT_EQ(serialize_scenario_spec(s), R"({
+  "name": "",
+  "execution": {
+    "threads": 2
+  },
+  "nodes": ["a", "b"],
+  "links": [
+    {
+      "a": "a",
+      "b": "b",
+      "delay": "1ms",
+      "b_dev": {
+        "qdisc": "codel"
+      }
+    }
+  ],
+  "flows": [
+    {
+      "src": "a",
+      "dst": "b",
+      "id": 7,
+      "cc": "cubic",
+      "web100": {}
+    },
+    {
+      "src": "b",
+      "dst": "a",
+      "model": "fluid",
+      "fluid": {
+        "decrease": 0.75
+      }
+    }
+  ],
+  "run": {
+    "measure_start": "1s"
+  }
+}
+)");
+  s.flow_cc.clear();
+  s.topology.flows.pop_back();
+  EXPECT_NE(serialize_scenario_spec(s).find(R"("cc": "reno")"), std::string::npos);
+}
+
+// --- field constraints ----------------------------------------------------
+//
+// Values the builder's constructors would reject are table constraints: the
+// parse fails with kBadValue on the field (or the red block) and its line,
+// so `--validate` catches what `--run` would otherwise fail on untyped.
+
+struct ConstraintCase {
+  const char* label;
+  const char* json;
+  const char* field;
+  int line;
+};
+
+const ConstraintCase kConstraintCases[] = {
+    {"a_dev ifq_packets 0", R"({
+  "nodes": ["a", "b"],
+  "links": [{"a": "a", "b": "b",
+             "a_dev": {"ifq_packets": 0}}]
+})",
+     "links[0].a_dev.ifq_packets", 4},
+    {"b_dev ifq_packets 0", R"({
+  "nodes": ["a", "b"],
+  "links": [{"a": "a", "b": "b",
+             "b_dev": {"ifq_packets": 0}}]
+})",
+     "links[0].b_dev.ifq_packets", 4},
+    {"red min_threshold >= max_threshold", R"({
+  "nodes": ["a", "b"],
+  "links": [{"a": "a", "b": "b", "a_dev": {"qdisc": "red",
+             "red": {"min_threshold": 30,
+                     "max_threshold": 30}}}]
+})",
+     "links[0].a_dev.red", 4},
+    {"red min_threshold above the default max_threshold", R"({
+  "nodes": ["a", "b"],
+  "links": [{"a": "a", "b": "b", "a_dev": {"qdisc": "red",
+             "red": {"min_threshold": 50}}}]
+})",
+     "links[0].a_dev.red", 4},
+    {"red queue_weight 0", R"({
+  "nodes": ["a", "b"],
+  "links": [{"a": "a", "b": "b", "a_dev": {"qdisc": "red",
+             "red": {"queue_weight": 0}}}]
+})",
+     "links[0].a_dev.red.queue_weight", 4},
+    {"red queue_weight above 1", R"({
+  "nodes": ["a", "b"],
+  "links": [{"a": "a", "b": "b", "a_dev": {"qdisc": "red",
+             "red": {
+               "queue_weight": 1.5}}}]
+})",
+     "links[0].a_dev.red.queue_weight", 5},
+    {"codel target 0s", R"({
+  "nodes": ["a", "b"],
+  "links": [{"a": "a", "b": "b", "a_dev": {"qdisc": "codel",
+             "codel": {"target": "0s"}}}]
+})",
+     "links[0].a_dev.codel.target", 4},
+    {"codel interval 0s", R"({
+  "nodes": ["a", "b"],
+  "links": [{"a": "a", "b": "b", "a_dev": {"qdisc": "codel",
+             "codel": {"target": "5ms",
+                       "interval": "0s"}}}]
+})",
+     "links[0].a_dev.codel.interval", 5},
+    {"sender mss 0", R"({
+  "nodes": ["a", "b"],
+  "links": [{"a": "a", "b": "b"}],
+  "flows": [{"src": "a", "dst": "b",
+             "sender": {"mss": 0}}]
+})",
+     "flows[0].sender.mss", 5},
+    {"receiver ack_every 0", R"({
+  "nodes": ["a", "b"],
+  "links": [{"a": "a", "b": "b"}],
+  "flows": [{"src": "a", "dst": "b",
+             "receiver": {"ack_every": 0}}]
+})",
+     "flows[0].receiver.ack_every", 5},
+    {"receiver ack_every -1", R"({
+  "nodes": ["a", "b"],
+  "links": [{"a": "a", "b": "b"}],
+  "flows": [{"src": "a", "dst": "b", "receiver": {
+    "ack_every": -1}}]
+})",
+     "flows[0].receiver.ack_every", 5},
+    {"web100 poll 0s", R"({
+  "nodes": ["a", "b"],
+  "links": [{"a": "a", "b": "b"}],
+  "flows": [{"src": "a", "dst": "b",
+             "web100": {"poll": "0s"}}]
+})",
+     "flows[0].web100.poll", 5},
+    {"fluid stride 0s", R"({
+  "nodes": ["a", "b"],
+  "links": [{"a": "a", "b": "b"}],
+  "flows": [{"src": "a", "dst": "b", "model": "fluid",
+             "fluid": {"stride": "0s"}}]
+})",
+     "flows[0].fluid.stride", 5},
+    {"fluid packet_bytes 0", R"({
+  "nodes": ["a", "b"],
+  "links": [{"a": "a", "b": "b"}],
+  "flows": [{"src": "a", "dst": "b", "model": "fluid",
+             "fluid": {"packet_bytes": 0}}]
+})",
+     "flows[0].fluid.packet_bytes", 5},
+};
+
+TEST(SpecConstraintTest, ValuesTheBuilderWouldRejectFailOnTheirField) {
+  for (const ConstraintCase& c : kConstraintCases) {
+    const auto err = spec_error_full([&] { (void)parse_scenario_spec(c.json); });
+    ASSERT_TRUE(err.has_value()) << c.label;
+    EXPECT_EQ(err->code(), Code::kBadValue) << c.label << ": " << err->what();
+    EXPECT_EQ(err->field(), c.field) << c.label << ": " << err->what();
+    EXPECT_EQ(err->line(), c.line) << c.label << ": " << err->what();
+  }
+}
+
+TEST(SpecConstraintTest, BoundaryValuesAreAccepted) {
+  const ScenarioSpec s = parse_scenario_spec(R"({
+    "nodes": ["a", "b"],
+    "links": [{"a": "a", "b": "b",
+               "a_dev": {"ifq_packets": 1, "qdisc": "red",
+                         "red": {"min_threshold": 1, "max_threshold": 2, "queue_weight": 1}},
+               "b_dev": {"qdisc": "codel", "codel": {"target": "1ns", "interval": "1ns"}}}],
+    "flows": [{"src": "a", "dst": "b", "sender": {"mss": 1}, "receiver": {"ack_every": 1},
+               "web100": {"poll": "1ns"}},
+              {"src": "b", "dst": "a", "model": "fluid",
+               "fluid": {"stride": "1ns", "packet_bytes": 1}}]
+  })");
+  EXPECT_DOUBLE_EQ(s.topology.links[0].a_dev.red.queue_weight, 1.0);
+  EXPECT_EQ(s.topology.flows[1].fluid.packet_bytes, 1u);
+}
+
+// --- numbers that do not fit their field ----------------------------------
+
+TEST(SpecNumberTest, NumbersThatDoNotFitTheirFieldAreBadValues) {
+  const struct {
+    const char* sender_or_receiver;
+    const char* field;
+  } cases[] = {
+      {R"("sender": {"rtt": {"alpha": 1e999}})", "flows[0].sender.rtt.alpha"},
+      {R"("sender": {"rtt": {"beta": -1e999}})", "flows[0].sender.rtt.beta"},
+      {R"("sender": {"rtt": {"k": 4294967300}})", "flows[0].sender.rtt.k"},
+      {R"("sender": {"rtt": {"k": -2147483649}})", "flows[0].sender.rtt.k"},
+      {R"("receiver": {"ack_every": 4294967297})", "flows[0].receiver.ack_every"},
+  };
+  for (const auto& c : cases) {
+    const std::string doc = std::string{R"({
+  "nodes": ["a", "b"],
+  "links": [{"a": "a", "b": "b"}],
+  "flows": [{"src": "a", "dst": "b", )"} +
+                            c.sender_or_receiver + "}]\n}";
+    const auto err = spec_error_full([&] { (void)parse_scenario_spec(doc); });
+    ASSERT_TRUE(err.has_value()) << c.field;
+    EXPECT_EQ(err->code(), Code::kBadValue) << err->what();
+    EXPECT_EQ(err->field(), c.field) << err->what();
+    EXPECT_EQ(err->line(), 4) << err->what();
+  }
+}
+
+TEST(SpecNumberTest, LargestAcceptedValuesRoundTrip) {
+  const ScenarioSpec s = parse_scenario_spec(R"({
+    "nodes": ["a", "b"],
+    "links": [{"a": "a", "b": "b"}],
+    "flows": [{"src": "a", "dst": "b",
+               "sender": {"rtt": {"alpha": 1e300, "k": 2147483647}},
+               "receiver": {"ack_every": 2147483647}}]
+  })");
+  const FlowSpec& f = s.topology.flows[0];
+  EXPECT_EQ(f.sender.rtt.k, 2147483647);
+  EXPECT_DOUBLE_EQ(f.sender.rtt.alpha, 1e300);
+  EXPECT_EQ(f.receiver.ack_every, 2147483647);
+  const std::string once = serialize_scenario_spec(s);
+  const ScenarioSpec again = parse_scenario_spec(once);
+  EXPECT_EQ(serialize_scenario_spec(again), once);
+  EXPECT_EQ(again.topology.flows[0].sender.rtt.k, 2147483647);
+  EXPECT_DOUBLE_EQ(again.topology.flows[0].sender.rtt.alpha, 1e300);
+}
+
+// --- guard order ----------------------------------------------------------
+
+TEST(SpecGuardTest, FlowKeysAreCheckedInTableOrder) {
+  // "fluid" precedes the packet-only keys: a fluid flow reports an error
+  // inside its fluid block before a packet-only key...
+  const auto fluid = spec_error_full([] {
+    (void)parse_scenario_spec(R"({
+      "nodes": ["a", "b"],
+      "links": [{"a": "a", "b": "b"}],
+      "flows": [{"src": "a", "dst": "b", "model": "fluid", "cc": "reno",
+                 "fluid": {"decrease": 2}}]
+    })");
+  });
+  ASSERT_TRUE(fluid.has_value());
+  EXPECT_EQ(fluid->code(), Code::kBadValue);
+  EXPECT_EQ(fluid->field(), "flows[0].fluid.decrease");
+  // ...and a packet flow reports its fluid block before a bad cc.
+  const auto packet = spec_error_full([] {
+    (void)parse_scenario_spec(R"({
+      "nodes": ["a", "b"],
+      "links": [{"a": "a", "b": "b"}],
+      "flows": [{"src": "a", "dst": "b", "cc": "warp-drive", "fluid": {}}]
+    })");
+  });
+  ASSERT_TRUE(packet.has_value());
+  EXPECT_EQ(packet->code(), Code::kBadValue);
+  EXPECT_EQ(packet->field(), "flows[0].fluid");
+}
+
 // --- sweep ----------------------------------------------------------------
 
 constexpr const char* kSweepBase = R"({
@@ -433,6 +717,17 @@ TEST(SweepTest, SweptValuesPassNormalValidation) {
               })"));
             }),
             Code::kBadValue);
+}
+
+TEST(SpecConstraintTest, SweptValueFailsOnThePointsField) {
+  const auto err = spec_error_full([] {
+    (void)expand_scenario_spec(with_sweep(
+        R"({"axes": [{"field": "links[0].a_dev.ifq_packets", "values": [10, 0]}]})"));
+  });
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(err->code(), Code::kBadValue) << err->what();
+  EXPECT_EQ(err->field(), "links[0].a_dev.ifq_packets") << err->what();
+  EXPECT_EQ(err->line(), 5) << err->what();
 }
 
 TEST(SweepTest, PointCountsAndModeParse) {
@@ -763,6 +1058,100 @@ TEST(SweepReferenceTest, ErrorsMatchTheReference) {
       ASSERT_TRUE(err.has_value()) << c.label;
       EXPECT_EQ(err->code(), *c.code) << c.label << ": " << err->what();
     }
+  }
+}
+
+
+// --- the documented surface -----------------------------------------------
+//
+// docs/spec-format.md documents each spec object in a `| Field |` table whose
+// first cell names the row's keys in backticks. Every object the parser
+// accepts must have a table listing exactly its keys: a key without a row,
+// and a row naming a key the object does not have, both fail.
+
+/// The keys of each `| Field |` table of the spec-format doc, under the
+/// heading it follows.
+[[nodiscard]] std::vector<std::pair<std::string, std::set<std::string>>> documented_tables() {
+  std::ifstream in{std::string{RSS_SPECS_DIR} + "/../docs/spec-format.md"};
+  std::vector<std::pair<std::string, std::set<std::string>>> tables;
+  std::string line, heading;
+  bool fenced = false, in_table = false;
+  while (std::getline(in, line)) {
+    if (line.starts_with("```")) fenced = !fenced;
+    if (fenced) continue;
+    if (line.starts_with("#")) heading = line;
+    if (!line.starts_with("|")) {
+      in_table = false;
+      continue;
+    }
+    if (line.starts_with("| Field |")) {
+      tables.emplace_back(heading, std::set<std::string>{});
+      in_table = true;
+      continue;
+    }
+    if (!in_table || line.starts_with("|---")) continue;
+    const std::string cell = line.substr(1, line.find('|', 1) - 1);
+    for (std::size_t open = cell.find('`'); open != std::string::npos;) {
+      const std::size_t close = cell.find('`', open + 1);
+      tables.back().second.insert(cell.substr(open + 1, close - open - 1));
+      open = cell.find('`', close + 1);
+    }
+  }
+  return tables;
+}
+
+/// The keys of each object the parser accepts, by the object's key path.
+[[nodiscard]] std::map<std::string, std::set<std::string>> schema_objects() {
+  std::map<std::string, std::set<std::string>> objects;
+  for (const std::string& path : schema_fields()) {
+    const std::size_t dot = path.rfind('.');
+    const std::string parent = dot == std::string::npos ? "" : path.substr(0, dot);
+    objects[parent].insert(dot == std::string::npos ? path : path.substr(dot + 1));
+  }
+  return objects;
+}
+
+[[nodiscard]] std::string joined(const std::set<std::string>& keys) {
+  std::string out;
+  for (const auto& k : keys) out += (out.empty() ? "" : ", ") + k;
+  return out;
+}
+
+TEST(SchemaDocsTest, EveryObjectHasADocTableListingExactlyItsKeys) {
+  const auto objects = schema_objects();
+  const auto tables = documented_tables();
+  ASSERT_GE(schema_fields().size(), 70u);
+  ASSERT_GE(tables.size(), 14u);
+  EXPECT_TRUE(objects.contains("links[].a_dev.red") && objects.contains("sweep.axes[]"));
+
+  const auto overlap = [](const std::set<std::string>& a, const std::set<std::string>& b) {
+    return std::count_if(a.begin(), a.end(), [&](const auto& k) { return b.contains(k); });
+  };
+  const auto missing = [](const std::set<std::string>& from, const std::set<std::string>& in) {
+    std::set<std::string> out;
+    for (const auto& k : from)
+      if (!in.contains(k)) out.insert(k);
+    return out;
+  };
+  for (const auto& [path, keys] : objects) {
+    const auto best = std::max_element(tables.begin(), tables.end(), [&](auto& a, auto& b) {
+      return overlap(keys, a.second) < overlap(keys, b.second);
+    });
+    if (best->second == keys) continue;
+    ADD_FAILURE() << "object '" << path << "': nearest doc table is under '" << best->first
+                  << "'; keys without a row: [" << joined(missing(keys, best->second))
+                  << "], rows naming no key of the object: ["
+                  << joined(missing(best->second, keys)) << "]";
+  }
+  for (const auto& [heading, keys] : tables) {
+    const bool matches = std::any_of(objects.begin(), objects.end(),
+                                     [&](const auto& object) { return object.second == keys; });
+    if (matches) continue;
+    std::set<std::string> unknown = keys;
+    for (const auto& object : objects)
+      for (const auto& k : object.second) unknown.erase(k);
+    ADD_FAILURE() << "doc table under '" << heading << "' lists no object's keys exactly"
+                  << "; rows naming a key no table has: [" << joined(unknown) << "]";
   }
 }
 
