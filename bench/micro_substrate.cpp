@@ -2,8 +2,8 @@
 // throughput on both queue backends, batched event trains, queue
 // operations, PID controller updates and a full end-to-end simulation
 // (events per wall-second). These bound how large a parameter sweep the
-// harness can afford, and they are where backend decisions (see README
-// "Choosing a QueueBackend") get their numbers.
+// harness can afford, and they are where backend decisions (see
+// docs/architecture.md "Choosing a QueueBackend") get their numbers.
 //
 // Two entry points:
 //   (default)   google-benchmark CLI — full microbenchmark suite.
@@ -141,7 +141,7 @@ BENCHMARK(BM_PidUpdate);
 scenario::WanPath::Config packet_dense_config(sim::QueueBackend backend) {
   scenario::WanPath::Config cfg;
   cfg.enable_web100 = false;
-  cfg.backend = backend;
+  cfg.execution.backend = backend;
   return cfg;
 }
 
@@ -202,7 +202,7 @@ SmokeResult smoke_parkinglot(sim::QueueBackend backend, double budget_seconds) {
   const auto t0 = std::chrono::steady_clock::now();
   while (r.seconds < budget_seconds) {
     scenario::ParkingLot::Config cfg;
-    cfg.backend = backend;
+    cfg.execution.backend = backend;
     cfg.access_rate = net::DataRate::mbps(100);
     scenario::ParkingLot lot{cfg, scenario::uniform_cc(scenario::make_rss_factory())};
     lot.start_all(sim::Time::zero());
@@ -219,11 +219,11 @@ SmokeResult smoke_parkinglot(sim::QueueBackend backend, double budget_seconds) {
 /// them, the inline single-worker round loop where it doesn't). The two
 /// runs execute the identical spec and the identical event count (parity
 /// is a tested invariant), so events/sec isolates what partitioning buys:
-/// four small per-partition queues instead of one large one, per-partition
-/// backend auto-selection, window-sized working sets, and — on multicore —
-/// actual parallelism. bench_scale regressions therefore catch both engine
-/// slowdowns and partitioning-quality losses. `backend` pins the queue
-/// backend instead of the auto choice, to separate the two.
+/// four small per-partition queues instead of one large one, window-sized
+/// working sets, and — on multicore — actual parallelism. bench_scale
+/// regressions therefore catch both engine slowdowns and
+/// partitioning-quality losses. `backend` is the spec's execution.backend
+/// (unset = the heap).
 SmokeResult smoke_scale(std::size_t partitions, double budget_seconds,
                         std::optional<sim::QueueBackend> backend = std::nullopt) {
   SmokeResult r;
@@ -394,8 +394,7 @@ int run_smoke(const std::vector<std::string>& args) {
     rows.push_back({"scheduler_churn", name, smoke_churn(backend, budget)});
   }
   // bench_scale: the partitioned engine on the ScaleMesh preset shape. The
-  // "backend" column carries the partition count — the queue backend itself
-  // is the ExecutionPolicy's auto choice, which is part of what's measured.
+  // "backend" column carries the partition count; every run is on the heap.
   rows.push_back({"scale_mesh", "partitions_1", smoke_scale(1, budget)});
   rows.push_back({"scale_mesh", "partitions_4", smoke_scale(4, budget)});
   const double serial = rows[rows.size() - 2].result.events_per_sec();
@@ -404,9 +403,8 @@ int run_smoke(const std::vector<std::string>& args) {
     std::cout << "scale_mesh partitions_4 / partitions_1 speedup: "
               << parted / serial << "x\n";
   }
-  // This mesh auto-selects the calendar queue on one partition; the pinned
-  // heap run tells how much of that speedup is the backend, not the
-  // partitioning.
+  // The heap pinned through execution.backend: the same run as
+  // partitions_1, which leaves the backend unset.
   rows.push_back({"scale_mesh", "partitions_1_heap",
                   smoke_scale(1, budget, sim::QueueBackend::kBinaryHeap)});
   // bench_fluid: the hybrid fluid/packet engine. The headline number is the

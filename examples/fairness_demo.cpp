@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   cfg.flows = 4;
   cfg.router_queue_packets = 100;
 
-  scenario::Dumbbell::PerFlowCcFactory factory;
+  scenario::FlowCcFactory factory;
   if (mix == "reno") {
     factory = [](std::size_t) -> std::unique_ptr<tcp::CongestionControl> {
       return std::make_unique<tcp::RenoCongestionControl>();

@@ -8,7 +8,7 @@ namespace rss::artifacts {
 [[nodiscard]] Experiment make_fig1_send_stalls_experiment();
 [[nodiscard]] Experiment make_tab1_throughput_experiment();
 
-/// Ablations (bench/abl_*).
+/// Ablations (the abl_* experiments).
 [[nodiscard]] Experiment make_abl_aqm_experiment();
 [[nodiscard]] Experiment make_abl_ifq_size_experiment();
 [[nodiscard]] Experiment make_abl_pid_gains_experiment();
@@ -16,7 +16,7 @@ namespace rss::artifacts {
 [[nodiscard]] Experiment make_abl_sampling_experiment();
 [[nodiscard]] Experiment make_abl_setpoint_experiment();
 
-/// Extensions beyond the paper (bench/ext_*).
+/// Extensions beyond the paper (the ext_* experiments).
 [[nodiscard]] Experiment make_ext_fairness_experiment();
 [[nodiscard]] Experiment make_ext_hybrid_fluid_experiment();
 [[nodiscard]] Experiment make_ext_modern_cc_experiment();

@@ -148,26 +148,6 @@ int cmd_check(const ExperimentRegistry& registry, const std::vector<std::string>
 
 }  // namespace
 
-int run_experiment_main(const std::string& name) {
-  try {
-    auto& registry = ExperimentRegistry::instance();
-    register_builtin_experiments(registry);
-    const Experiment* e = registry.find(name);
-    if (!e) {
-      std::fprintf(stderr, "unknown experiment: %s\n", name.c_str());
-      return 2;
-    }
-    std::printf("%s: %s\n\n", e->name.c_str(), e->title.c_str());
-    const ExperimentResult r = e->run();
-    r.table.write_csv(std::cout);
-    std::printf("\n%s\n", r.verdict.c_str());
-    return r.reproduced ? 0 : 1;
-  } catch (const std::exception& ex) {
-    std::fprintf(stderr, "error: %s\n", ex.what());
-    return 2;
-  }
-}
-
 int artifacts_main(int argc, char** argv, std::string default_goldens_dir) {
   enum class Command { kNone, kList, kRun, kWriteGoldens, kCheck };
   Command cmd = Command::kNone;
@@ -180,7 +160,7 @@ int artifacts_main(int argc, char** argv, std::string default_goldens_dir) {
       case scenario::ExecFlags::Parse::kConsumed:
         continue;
       case scenario::ExecFlags::Parse::kError:
-        return 2;
+        return usage(argv[0]);
       case scenario::ExecFlags::Parse::kNotMine:
         break;
     }
@@ -213,7 +193,7 @@ int artifacts_main(int argc, char** argv, std::string default_goldens_dir) {
   // Same flag surface as rss_scenario: install the execution flags as the
   // process-wide defaults so every experiment's internal sweeps and
   // partitioned builds draw on one thread budget.
-  if (!exec.install()) return 2;
+  exec.install();
 
   if (goldens_dir.empty()) {
     // The build embeds <source-tree>/artifacts/goldens; use it as long as

@@ -1,15 +1,8 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 namespace rss::artifacts {
-
-/// Entry point for the thin bench/ mains: run one registered experiment,
-/// stream its canonical CSV table to stdout followed by the shape verdict.
-/// Returns 0 when the shape reproduced, 1 when not, 2 on unknown name or
-/// error.
-int run_experiment_main(const std::string& name);
 
 /// Entry point for the rss_artifacts driver. `default_goldens_dir` is the
 /// fallback used when no --goldens flag is given (the build embeds the

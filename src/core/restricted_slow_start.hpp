@@ -41,7 +41,7 @@ class RestrictedSlowStart : public tcp::RenoCongestionControl {
     double setpoint_fraction{0.9};  ///< paper: "90% of the maximum IFQ size"
     /// Gains from Ziegler–Nichols (paper rule). Defaults were produced by
     /// the simulation-in-the-loop tuner on the canonical ANL–LBNL path
-    /// (see bench/ext_tuning and scenario::tune_restricted_slow_start).
+    /// (see the ext_tuning experiment and scenario::tune_restricted_slow_start).
     control::PidGains gains{0.12, 0.30, 0.10};
     double max_increment_mss{1.0};   ///< never grow faster than stock slow-start
     double min_increment_mss{-1.0};  ///< allow trimming on overshoot
@@ -71,7 +71,7 @@ class RestrictedSlowStart : public tcp::RenoCongestionControl {
 
   /// Options preset for the kernel-timer controller: 10 ms sample-and-hold
   /// (Linux 2.4 HZ=100) with gains from the simulation-in-the-loop
-  /// Ziegler-Nichols run under that same period (bench/ext_tuning:
+  /// Ziegler-Nichols run under that same period (the ext_tuning experiment:
   /// Kc ~ 0.078, Tc ~ 0.020 s -> paper rule 0.33/0.5/0.33). The per-ACK
   /// defaults above are NOT stable under a 10 ms hold — the hold adds loop
   /// delay, so the gain must drop accordingly.

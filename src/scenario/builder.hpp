@@ -38,10 +38,6 @@ class Scenario {
   [[nodiscard]] sim::Simulation& simulation() { return *sims_.front(); }
   [[nodiscard]] const TopologySpec& spec() const { return spec_; }
   [[nodiscard]] const RouteTable& routes() const { return routes_; }
-  /// The backend the simulation actually runs on (explicit or auto-selected).
-  [[nodiscard]] sim::QueueBackend backend() const {
-    return sims_.front()->scheduler().backend();
-  }
 
   // --- partitioned execution ---
   [[nodiscard]] std::size_t partition_count() const { return sims_.size(); }
@@ -157,11 +153,6 @@ class Scenario {
 ///                         .build(make_reno_factory());
 class ScenarioBuilder {
  public:
-  /// Deprecated alias for ExecutionPolicy::kCalendarQueuePendingEvents,
-  /// which now owns the auto-select threshold.
-  static constexpr std::size_t kCalendarQueuePendingEvents =
-      ExecutionPolicy::kCalendarQueuePendingEvents;
-
   ScenarioBuilder() = default;
   explicit ScenarioBuilder(TopologySpec spec) : spec_{std::move(spec)} {}
 
@@ -172,17 +163,10 @@ class ScenarioBuilder {
                                sim::Time delay, std::size_t ifq_packets);
   ScenarioBuilder& flow(FlowSpec flow);
   ScenarioBuilder& seed(std::uint64_t seed);
-  /// Deprecated alias for execution().backend — kept for existing call
-  /// sites; an explicit execution policy backend wins.
-  ScenarioBuilder& backend(sim::QueueBackend backend);
   /// Set the full execution policy (backend, partitions, threads).
   ScenarioBuilder& execution(ExecutionPolicy policy);
 
   [[nodiscard]] const TopologySpec& spec() const { return spec_; }
-
-  /// The backend build() picks when the spec doesn't pin one.
-  [[nodiscard]] static sim::QueueBackend auto_backend(const TopologySpec& spec,
-                                                      const RouteTable& routes);
 
   /// Validate and wire. Throws TopologyError on a malformed spec (and on a
   /// null factory).

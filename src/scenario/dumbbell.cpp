@@ -8,7 +8,6 @@ namespace rss::scenario {
 TopologySpec Dumbbell::make_spec(const Config& config) {
   TopologySpec spec;
   spec.seed = config.seed;
-  spec.backend = config.backend;
   spec.execution = config.execution;
 
   spec.nodes = {"routerL", "routerR"};
@@ -61,7 +60,7 @@ TopologySpec Dumbbell::make_spec(const Config& config) {
   return spec;
 }
 
-Dumbbell::Dumbbell(Config config, const PerFlowCcFactory& cc_factory) : cfg_{config} {
+Dumbbell::Dumbbell(Config config, const FlowCcFactory& cc_factory) : cfg_{config} {
   if (cfg_.flows == 0) throw std::invalid_argument("Dumbbell: need at least one flow");
   if (!cc_factory) throw std::invalid_argument("Dumbbell: null congestion-control factory");
   scenario_ = ScenarioBuilder{make_spec(cfg_)}.build(cc_factory);

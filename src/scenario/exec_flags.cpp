@@ -1,46 +1,33 @@
 #include "scenario/exec_flags.hpp"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <optional>
 #include <string_view>
+#include <system_error>
 
 namespace rss::scenario {
 
 namespace {
 
-/// "binary_heap"/"calendar_queue"/"auto" -> backend (auto = nullopt);
-/// std::nullopt wrapped in outer optional absence signals an unknown name.
-[[nodiscard]] bool lookup_backend(std::string_view name,
-                                  std::optional<sim::QueueBackend>& out) {
-  if (name == "binary_heap") {
-    out = sim::QueueBackend::kBinaryHeap;
-    return true;
-  }
-  if (name == "calendar_queue") {
-    out = sim::QueueBackend::kCalendarQueue;
-    return true;
-  }
-  if (name == "auto") {
-    out = std::nullopt;
-    return true;
-  }
-  return false;
-}
-
-[[nodiscard]] bool parse_count(const char* flag, int argc, char** argv, int& i,
+/// Parse argv[i + 1] as a count of at least `min`, advancing `i` past it.
+[[nodiscard]] bool parse_count(const char* flag, int argc, char** argv, int& i, std::size_t min,
                                std::size_t& out) {
   if (i + 1 >= argc) {
     std::fprintf(stderr, "%s needs a count argument\n", flag);
     return false;
   }
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(argv[++i], &end, 10);
-  if (end == argv[i] || *end != '\0') {
+  const std::string_view text = argv[++i];
+  std::size_t v = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc{} || end != text.data() + text.size()) {
     std::fprintf(stderr, "%s: '%s' is not a count\n", flag, argv[i]);
     return false;
   }
-  out = static_cast<std::size_t>(v);
+  if (v < min) {
+    std::fprintf(stderr, "%s must be at least %zu\n", flag, min);
+    return false;
+  }
+  out = v;
   return true;
 }
 
@@ -48,54 +35,30 @@ namespace {
 
 ExecFlags::Parse ExecFlags::parse(int argc, char** argv, int& i) {
   const std::string_view arg = argv[i];
-  if (arg == "--jobs" || arg == "--threads")
-    return parse_count("--jobs", argc, argv, i, jobs) ? Parse::kConsumed : Parse::kError;
-  if (arg == "--partitions")
-    return parse_count("--partitions", argc, argv, i, partitions) ? Parse::kConsumed
-                                                                  : Parse::kError;
-  if (arg == "--backend") {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "--backend needs a name argument\n");
-      return Parse::kError;
-    }
-    backend = argv[++i];
-    std::optional<sim::QueueBackend> ignored;
-    if (!lookup_backend(backend, ignored)) {
-      std::fprintf(stderr,
-                   "--backend: unknown backend '%s' (expected binary_heap, "
-                   "calendar_queue, or auto)\n",
-                   backend.c_str());
-      return Parse::kError;
-    }
-    return Parse::kConsumed;
+  bool ok = true;
+  if (arg == "--jobs") {
+    ok = parse_count("--jobs", argc, argv, i, 0, jobs);
+  } else if (arg == "--partitions") {
+    ok = parse_count("--partitions", argc, argv, i, 1, partitions);
+  } else {
+    return Parse::kNotMine;
   }
-  return Parse::kNotMine;
+  return ok ? Parse::kConsumed : Parse::kError;
 }
 
 const char* ExecFlags::help() {
   return "  --jobs <n>               total thread budget shared by sweep points and\n"
          "                           partition engines (default: all cores)\n"
-         "  --backend <name>         event-queue backend: binary_heap, calendar_queue,\n"
-         "                           or auto (a speed knob; results are identical)\n"
-         "  --partitions <n>         run each scenario across n partitions\n";
+         "  --partitions <n>         run each scenario across n >= 1 partitions\n";
 }
 
-bool ExecFlags::install() const {
+void ExecFlags::install() const {
   ExecutionDefaults& defaults = execution_defaults();
-  if (!backend.empty() && !lookup_backend(backend, defaults.backend)) {
-    std::fprintf(stderr, "unknown backend: %s\n", backend.c_str());
-    return false;
-  }
   if (jobs != 0) defaults.thread_budget = jobs;
   if (partitions != 0) defaults.partitions = partitions;
-  return true;
 }
 
 void ExecFlags::apply(ExecutionPolicy& policy) const {
-  if (!backend.empty()) {
-    std::optional<sim::QueueBackend> parsed;
-    if (lookup_backend(backend, parsed)) policy.backend = parsed;
-  }
   if (partitions != 0) policy.partitions = partitions;
 }
 

@@ -1,24 +1,23 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 #include "scenario/execution.hpp"
 
 namespace rss::scenario {
 
 /// The shared execution flag surface: rss_scenario and rss_artifacts accept
-/// the same three flags with the same meanings, and both feed one
+/// the same two flags with the same meanings, and both feed one
 /// process-wide thread budget (ExecutionDefaults) so nested parallelism —
 /// sweep workers times partition engine threads — never oversubscribes.
 ///
-///   --jobs <n>         total thread budget (0 / omitted = all cores);
-///                      --threads is kept as a deprecated synonym
-///   --backend <name>   binary_heap | calendar_queue | auto
-///   --partitions <n>   run each scenario across n partitions
+///   --jobs <n>         total thread budget (0 / omitted = all cores)
+///   --partitions <n>   run each scenario across n >= 1 partitions
+///
+/// Counts are decimal digits only: a sign, a suffix or a value beyond
+/// size_t is a usage error, never a wrapped or saturated count.
 struct ExecFlags {
   std::size_t jobs{0};        ///< 0 = unset (hardware concurrency)
-  std::string backend{};      ///< empty = unset
   std::size_t partitions{0};  ///< 0 = unset (spec/Config decides)
 
   enum class Parse {
@@ -34,9 +33,8 @@ struct ExecFlags {
   [[nodiscard]] static const char* help();
 
   /// Install as the process-wide ExecutionDefaults (the lowest-precedence
-  /// policy layer). Returns false (with a stderr diagnostic) on an unknown
-  /// --backend name.
-  [[nodiscard]] bool install() const;
+  /// policy layer); unset flags leave the defaults alone.
+  void install() const;
 
   /// Override one policy in place — the CLI wins over the spec for the
   /// flags that were given; unset flags leave the policy alone. (--jobs is

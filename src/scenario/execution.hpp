@@ -15,18 +15,13 @@ enum class PartitionStrategy {
 };
 
 /// The single execution-configuration object for a scenario: queue backend,
-/// partitioning, and thread budget in one place. Before this existed the
-/// knobs were scattered — WanPath/Dumbbell carried their own
-/// Config::backend, the builder hid the auto-select constant, and
-/// parallel_sweep guessed its own worker count. Those surfaces remain as
-/// documented deprecated aliases that forward here.
+/// partitioning, and thread budget in one place.
 ///
-/// Defaults reproduce the historical behavior exactly: one partition,
-/// auto-selected backend, hardware thread budget.
+/// Defaults reproduce the classic run: one partition, the heap, hardware
+/// thread budget.
 struct ExecutionPolicy {
-  /// Event-queue backend for every partition's scheduler; unset =
-  /// auto-select from the estimated pending-event density (see
-  /// resolve_backend).
+  /// Event-queue backend for every partition's scheduler; unset = the
+  /// heap. Optional so that a spec which pins it serializes the pin.
   std::optional<sim::QueueBackend> backend{};
   /// Number of topology partitions to run in parallel; 1 = the classic
   /// single-scheduler run. Requests beyond the node count are clamped.
@@ -37,26 +32,10 @@ struct ExecutionPolicy {
   /// hardware thread (with the hardware_concurrency()==0 report guarded).
   std::size_t threads{0};
 
-  /// Estimated pending-event count at which the auto-select picks the
-  /// calendar queue over the binary heap. Derived from the measured
-  /// crossover on bench_micro_substrate (README "Choosing a QueueBackend"):
-  /// a 32-flow dumbbell — 32 flows x (2 timers + 3 links) = 160 pending
-  /// events — is where the calendar starts winning.
-  static constexpr std::size_t kCalendarQueuePendingEvents = 160;
-
   friend bool operator==(const ExecutionPolicy&, const ExecutionPolicy&) = default;
 
   [[nodiscard]] bool partitioned() const { return partitions > 1; }
   [[nodiscard]] bool is_default() const { return *this == ExecutionPolicy{}; }
-
-  /// Backend for one partition, given that partition's share of the
-  /// spec's estimated pending events.
-  [[nodiscard]] sim::QueueBackend resolve_backend(std::size_t estimated_pending) const {
-    if (backend) return *backend;
-    return estimated_pending >= kCalendarQueuePendingEvents
-               ? sim::QueueBackend::kCalendarQueue
-               : sim::QueueBackend::kBinaryHeap;
-  }
 
   /// std::thread::hardware_concurrency(), with the standard-permitted
   /// 0 = "unknown" report mapped to 1.
@@ -70,18 +49,14 @@ struct ExecutionPolicy {
 };
 
 /// Process-wide execution defaults — the lowest-precedence layer of policy
-/// resolution (explicit ExecutionPolicy > deprecated Config/spec backend >
-/// these > built-in auto). The CLI drivers (rss_scenario, rss_artifacts)
-/// install --jobs / --backend / --partitions here, which is how both
-/// binaries share one flag surface and every nested parallel construct
-/// (sweep workers x partition engine threads) draws on a single thread
-/// budget. Not synchronized: install before any workers are spawned.
+/// resolution (an explicit ExecutionPolicy wins). The CLI drivers
+/// (rss_scenario, rss_artifacts) install --jobs / --partitions here, which
+/// is how both binaries share one flag surface and every nested parallel
+/// construct (sweep workers x partition engine threads) draws on a single
+/// thread budget. Not synchronized: install before any workers are spawned.
 struct ExecutionDefaults {
   /// Total thread budget for the process; 0 = one per hardware thread.
   std::size_t thread_budget{0};
-  /// Queue backend for scenarios that don't pin one (pop order is
-  /// backend-independent, so this is a pure speed knob).
-  std::optional<sim::QueueBackend> backend{};
   /// Partition count for scenarios that leave partitions at the default;
   /// 0 = no override.
   std::size_t partitions{0};

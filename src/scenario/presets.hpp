@@ -34,9 +34,6 @@ class ParkingLot {
     std::size_t hops{3};
     std::size_t cross_flows_per_hop{1};
     std::uint64_t seed{1};
-    /// Deprecated alias for execution.backend (an explicitly set
-    /// execution.backend wins).
-    std::optional<sim::QueueBackend> backend{};
     /// Full execution policy (backend, partitions, thread budget).
     ExecutionPolicy execution{};
     net::DataRate bottleneck_rate{net::DataRate::mbps(100)};
@@ -117,9 +114,6 @@ class MultiBottleneckChain {
     std::vector<sim::Time> hop_delays{};
     sim::Time default_hop_delay{sim::Time::milliseconds(10)};
     std::uint64_t seed{1};
-    /// Deprecated alias for execution.backend (an explicitly set
-    /// execution.backend wins).
-    std::optional<sim::QueueBackend> backend{};
     /// Full execution policy (backend, partitions, thread budget).
     ExecutionPolicy execution{};
     net::DataRate access_rate{net::DataRate::gbps(1)};
@@ -180,9 +174,6 @@ class ScaleMesh {
     std::size_t flows_per_segment{12500};   ///< local hL_i -> hR_i flows
     std::size_t cross_flows_per_segment{4}; ///< hL_i -> hR_{i+1}, per trunk
     std::uint64_t seed{1};
-    /// Deprecated alias for execution.backend (an explicitly set
-    /// execution.backend wins).
-    std::optional<sim::QueueBackend> backend{};
     /// Full execution policy — set execution.partitions to run segments in
     /// parallel (the trunk delay bounds the lookahead window).
     ExecutionPolicy execution{};

@@ -5,6 +5,7 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -111,12 +112,6 @@ struct FlowResult {
 
 }  // namespace
 
-metrics::Table run_spec_document(const JsonValue& document, std::size_t max_threads) {
-  ExecFlags exec;
-  exec.jobs = max_threads;
-  return run_spec_document(document, exec);
-}
-
 metrics::Table run_spec_document(const JsonValue& document, const ExecFlags& exec) {
   std::vector<SweepPoint> points = expand_scenario_spec(document);
 
@@ -131,11 +126,9 @@ metrics::Table run_spec_document(const JsonValue& document, const ExecFlags& exe
   // an equal share of what remains — nested parallelism (sweep x engine)
   // never oversubscribes.
   for (auto& point : points) exec.apply(point.spec.topology.execution);
-  std::size_t budget = exec.jobs;
-  if (budget == 0) budget = execution_defaults().thread_budget;
-  if (budget == 0) budget = ExecutionPolicy::hardware_threads();
-  const std::size_t workers =
-      std::clamp<std::size_t>(budget, 1, std::max<std::size_t>(points.size(), 1));
+  const ExecutionPolicy run_policy{.threads = exec.jobs};
+  const std::size_t budget = run_policy.resolve_threads(std::numeric_limits<std::size_t>::max());
+  const std::size_t workers = run_policy.resolve_threads(points.size());
   for (auto& point : points) {
     ExecutionPolicy& policy = point.spec.topology.execution;
     if (policy.partitioned() && policy.threads == 0)
@@ -170,14 +163,6 @@ metrics::Table run_spec_document(const JsonValue& document, const ExecFlags& exe
   return table;
 }
 
-metrics::Table run_spec_text(std::string_view json_text, std::size_t max_threads) {
-  return run_spec_document(json_parse(json_text), max_threads);
-}
-
-metrics::Table run_spec_file(const std::string& path, std::size_t max_threads) {
-  return run_spec_text(read_spec_file(path), max_threads);
-}
-
 metrics::Table run_spec_text(std::string_view json_text, const ExecFlags& exec) {
   return run_spec_document(json_parse(json_text), exec);
 }
@@ -191,6 +176,17 @@ metrics::Table run_spec_file(const std::string& path, const ExecFlags& exec) {
 std::vector<std::string> preset_names() {
   return {"wanpath", "dumbbell", "parkinglot", "chain", "scale", "scale_fluid"};
 }
+
+namespace {
+
+/// preset_names() as "a, b, c", for help and error texts.
+[[nodiscard]] std::string preset_list() {
+  std::string out;
+  for (const auto& name : preset_names()) out += (out.empty() ? "" : ", ") + name;
+  return out;
+}
+
+}  // namespace
 
 ScenarioSpec preset_spec(const std::string& name) {
   ScenarioSpec spec;
@@ -228,9 +224,7 @@ ScenarioSpec preset_spec(const std::string& name) {
     cfg.execution.partitions = 4;
     spec.topology = ScaleMesh::make_spec(cfg);
   } else {
-    throw std::invalid_argument(
-        "unknown preset: " + name +
-        " (known: wanpath, dumbbell, parkinglot, chain, scale, scale_fluid)");
+    throw std::invalid_argument("unknown preset: " + name + " (known: " + preset_list() + ")");
   }
   spec.flow_cc.assign(spec.topology.flows.size(), "reno");
   return spec;
@@ -250,7 +244,7 @@ int usage(const char* argv0) {
                "  --validate <file...>     parse + topology-check spec files (and every\n"
                "                           sweep point); exit 0 iff all are valid\n"
                "  --emit-preset <name>     dump a C++ topology preset as a spec file\n"
-               "                           (wanpath, dumbbell, parkinglot, chain)\n"
+               "                           (%s)\n"
                "  --list-presets           list the emittable presets\n"
                "  --roundtrip              self-check: every preset emits, re-parses and\n"
                "                           re-serializes byte-identically, and the\n"
@@ -259,7 +253,7 @@ int usage(const char* argv0) {
                "options:\n"
                "  --out <path>             write CSV/spec output here (default: stdout)\n"
                "%s",
-               argv0, ExecFlags::help());
+               argv0, preset_list().c_str(), ExecFlags::help());
   return 2;
 }
 
@@ -395,7 +389,7 @@ int scenario_main(int argc, char** argv) {
       case ExecFlags::Parse::kConsumed:
         continue;
       case ExecFlags::Parse::kError:
-        return 2;
+        return usage(argv[0]);
       case ExecFlags::Parse::kNotMine:
         break;
     }

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstddef>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -32,28 +31,23 @@ namespace rss::scenario::spec {
 /// goodput over [run.measure_start, run.duration] and the Web100
 /// stall/timeout/retransmission counters as deltas over that same window
 /// (counters are snapshotted at measure_start, so warm-up is excluded).
+///
+/// `exec.partitions` overrides every sweep point's execution policy, and
+/// `exec.jobs` is one budget shared by the sweep workers and the partition
+/// engines inside each point (each partitioned point that doesn't pin its
+/// own thread count gets budget / workers).
 [[nodiscard]] metrics::Table run_spec_document(const JsonValue& document,
-                                               std::size_t max_threads = 0);
+                                               const ExecFlags& exec = {});
 [[nodiscard]] metrics::Table run_spec_text(std::string_view json_text,
-                                           std::size_t max_threads = 0);
+                                           const ExecFlags& exec = {});
 [[nodiscard]] metrics::Table run_spec_file(const std::string& path,
-                                           std::size_t max_threads = 0);
-
-/// ExecFlags-driven variants: --backend/--partitions override every sweep
-/// point's execution policy, and --jobs is one budget shared by the sweep
-/// workers and the partition engines inside each point (each partitioned
-/// point that doesn't pin its own thread count gets budget / workers).
-[[nodiscard]] metrics::Table run_spec_document(const JsonValue& document,
-                                               const ExecFlags& exec);
-[[nodiscard]] metrics::Table run_spec_text(std::string_view json_text,
-                                           const ExecFlags& exec);
-[[nodiscard]] metrics::Table run_spec_file(const std::string& path, const ExecFlags& exec);
+                                           const ExecFlags& exec = {});
 
 /// The C++ topology presets as scenario specs with Reno on every flow:
 /// "wanpath", "dumbbell", "parkinglot", "chain" carry their default Config;
-/// "scale" carries the reduced bench configuration of ScaleMesh (the full
-/// default is a 100k-flow workload). Throws std::invalid_argument on an
-/// unknown name.
+/// "scale" and "scale_fluid" carry the reduced bench configuration of
+/// ScaleMesh (the full default is a 100k-flow workload). Throws
+/// std::invalid_argument on an unknown name.
 [[nodiscard]] ScenarioSpec preset_spec(const std::string& name);
 [[nodiscard]] std::vector<std::string> preset_names();
 

@@ -1079,10 +1079,9 @@ constexpr auto kFlowFields = std::tuple{
     field("web100", kSelf, Flagged<&FlowDoc::web100, kWeb100Fields>{}).only_if(kPacketOnly),
 };
 
-constexpr Choice<std::optional<sim::QueueBackend>> kBackends[] = {
+constexpr Choice<sim::QueueBackend> kBackends[] = {
     {"binary_heap", sim::QueueBackend::kBinaryHeap},
-    {"calendar_queue", sim::QueueBackend::kCalendarQueue},
-    {"auto", std::nullopt}};
+    {"calendar_queue", sim::QueueBackend::kCalendarQueue}};
 
 constexpr Choice<PartitionStrategy> kStrategies[] = {{"auto", PartitionStrategy::kAuto},
                                                      {"block", PartitionStrategy::kBlock}};
@@ -1156,9 +1155,6 @@ constexpr auto kTopology = [](auto& s) -> auto& { return s.topology.*M; };
 constexpr auto kScenarioFields = std::tuple{
     field("name", &ScenarioSpec::name),
     field("seed", kTopology<&TopologySpec::seed>),
-    // Deprecated alias for execution.backend; the builder resolves the
-    // precedence (execution wins).
-    field("backend", kTopology<&TopologySpec::backend>, Named<kBackends>{}),
     field("execution", kTopology<&TopologySpec::execution>, Object<kExecutionFields>{}),
     field("nodes", kTopology<&TopologySpec::nodes>, ArrayOf<Scalar<std::string>>{}).required(),
     field("links", kTopology<&TopologySpec::links>, ArrayOf<Object<kLinkFields>>{}),

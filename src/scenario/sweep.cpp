@@ -4,6 +4,8 @@
 #include <exception>
 #include <mutex>
 
+#include "scenario/execution.hpp"
+
 namespace rss::scenario {
 
 void parallel_sweep(std::size_t count, const std::function<void(std::size_t)>& fn,
@@ -52,12 +54,6 @@ void parallel_sweep(std::size_t count, const std::function<void(std::size_t)>& f
   for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker);
   for (auto& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
-}
-
-void parallel_sweep(std::size_t count, const std::function<void(std::size_t)>& fn,
-                    const ExecutionPolicy& policy) {
-  if (count == 0) return;
-  parallel_sweep(count, fn, policy.resolve_threads(count));
 }
 
 }  // namespace rss::scenario

@@ -6,16 +6,12 @@
 #include <thread>
 #include <vector>
 
-#include "scenario/execution.hpp"
-
 namespace rss::scenario {
 
 /// Run `fn(i)` for i in [0, count) across up to `max_threads` worker
-/// threads (0 = hardware concurrency, with the `hardware_concurrency() ==
-/// 0` "unknown" case treated as 1). Each index is an *independent*
-/// simulation — per-run parallelism (partitioned engines) and sweep
-/// parallelism share one thread budget via the ExecutionPolicy overload
-/// below.
+/// threads (0 = the process-wide budget, execution_defaults(), then
+/// hardware concurrency, with the `hardware_concurrency() == 0` "unknown"
+/// case treated as 1). Each index is an *independent* simulation.
 ///
 /// Exceptions thrown by `fn` propagate: the first one (by worker
 /// observation order) is rethrown on the calling thread after all workers
@@ -24,15 +20,6 @@ namespace rss::scenario {
 /// instead of draining the remaining points.
 void parallel_sweep(std::size_t count, const std::function<void(std::size_t)>& fn,
                     std::size_t max_threads = 0);
-
-/// ExecutionPolicy-driven overload: the worker count is
-/// `policy.resolve_threads(count)` — the policy's thread budget (0 =
-/// hardware concurrency, 0-guarded) clamped to the point count. When the
-/// sweep body itself builds partitioned scenarios, divide the same budget:
-/// give each run `max(1, budget / sweep_workers)` engine threads so nested
-/// parallelism respects one overall thread budget.
-void parallel_sweep(std::size_t count, const std::function<void(std::size_t)>& fn,
-                    const ExecutionPolicy& policy);
 
 /// Map convenience: produce one result per input in parallel; results are
 /// positionally stable.

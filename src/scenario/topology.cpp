@@ -144,20 +144,4 @@ std::size_t RouteTable::hops(std::size_t from, std::size_t to) const {
   return count;
 }
 
-std::size_t estimated_pending_events(const TopologySpec& spec, const RouteTable& routes) {
-  const auto index = index_nodes(spec);
-  std::size_t pending = 0;
-  for (const auto& flow : spec.flows) {
-    // A fluid flow contributes one driver tick per partition regardless of
-    // aggregate count, not per-flow timers/trains — negligible next to the
-    // packet flows this estimate sizes the backend for.
-    if (flow.model == TrafficModel::kFluid) continue;
-    const std::size_t src = index.at(flow.src);
-    const std::size_t dst = index.at(flow.dst);
-    const std::size_t hops = routes.hops(src, dst);
-    pending += 2 + (hops == RouteTable::kUnreachable ? 0 : hops);
-  }
-  return pending;
-}
-
 }  // namespace rss::scenario

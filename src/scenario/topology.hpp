@@ -17,7 +17,6 @@
 #include "net/fluid.hpp"
 #include "net/queue.hpp"
 #include "scenario/execution.hpp"
-#include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 #include "tcp/congestion_control.hpp"
 #include "tcp/tcp_receiver.hpp"
@@ -122,10 +121,6 @@ struct TopologySpec {
   std::vector<LinkSpec> links;
   std::vector<FlowSpec> flows;
   std::uint64_t seed{1};
-  /// Deprecated alias for execution.backend, kept so existing specs (and
-  /// their JSON round-trips) stay byte-identical. An explicitly set
-  /// execution.backend wins over this field.
-  std::optional<sim::QueueBackend> backend{};
   /// How to execute the built scenario: queue backend, partition count and
   /// strategy, thread budget. Defaults reproduce the classic
   /// single-scheduler run.
@@ -196,12 +191,5 @@ void validate_topology(const TopologySpec& spec);
 /// Index of a node name in spec.nodes, or nullopt.
 [[nodiscard]] std::optional<std::size_t> node_index(const TopologySpec& spec,
                                                     std::string_view name);
-
-/// Estimated number of simultaneously pending scheduler events when every
-/// flow is active: each bulk flow keeps ~2 timers (RTO, delayed ACK) plus
-/// one serialization train per link it crosses. This is the density the
-/// queue-backend crossover was measured against.
-[[nodiscard]] std::size_t estimated_pending_events(const TopologySpec& spec,
-                                                   const RouteTable& routes);
 
 }  // namespace rss::scenario

@@ -26,7 +26,7 @@ struct TuneOptions {
   /// (Linux 2.4: HZ=100 -> 10 ms); the sample-and-hold is what gives the
   /// loop enough delay to oscillate at all — the per-ACK event-driven
   /// controller is unconditionally stable and Z-N cannot find Kc on it
-  /// (bench/ext_tuning prints both stories).
+  /// (`rss_artifacts --run ext_tuning` prints both stories).
   sim::Time controller_period{sim::Time::milliseconds(10)};
   /// Samples before this are discarded: the sub-BDP slow-start ramp has an
   /// intrinsic fill/drain sawtooth that would otherwise be misread as a

@@ -35,17 +35,8 @@ class WanPath {
   struct Config {
     core::CanonicalPath path{};
     std::uint64_t seed{1};
-    /// Deprecated alias for execution.backend (kept so existing call sites
-    /// and spec round-trips stay byte-identical; an explicitly set
-    /// execution.backend wins). Event-queue backend — purely a speed knob,
-    /// pop order is backend-independent (parity-tested). The single-flow
-    /// canonical path keeps only a window's worth of events pending, which
-    /// bench_micro_substrate measures as heap territory; the calendar queue
-    /// overtakes once thousands of events are in flight (see README
-    /// "Choosing a QueueBackend" for the measured crossover).
-    sim::QueueBackend backend{sim::QueueBackend::kBinaryHeap};
-    /// Full execution policy (backend, partitions, thread budget) — the
-    /// preferred surface; see scenario::ExecutionPolicy.
+    /// Full execution policy (backend, partitions, thread budget); see
+    /// scenario::ExecutionPolicy.
     ExecutionPolicy execution{};
     std::uint32_t flow_id{1};
     std::size_t receiver_ifq_packets{1000};

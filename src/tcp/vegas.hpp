@@ -12,7 +12,7 @@ namespace rss::tcp {
 /// control, included as the conceptual cousin of Restricted Slow-Start:
 /// both throttle *before* loss, Vegas by watching RTT inflation (queueing
 /// anywhere on the path), RSS by watching the local IFQ directly.
-/// bench/ext_vegas compares them on the paper path.
+/// The ext_variants experiment compares them on the paper path.
 ///
 /// Implemented per the original paper:
 ///  * expected = cwnd / baseRTT,  actual = cwnd / RTT (both in segments/s),

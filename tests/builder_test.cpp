@@ -185,35 +185,19 @@ TEST(ScenarioBuilderTest, InstallsRoutesOnNodes) {
   EXPECT_EQ(scenario->node("n0").route(3), std::optional<std::size_t>{0});
 }
 
-// --- backend auto-selection ----------------------------------------------
+// --- event-queue backend --------------------------------------------------
 
-TEST(ScenarioBuilderTest, AutoSelectsBackendFromPendingEventDensity) {
+TEST(ScenarioBuilderTest, UnpinnedDenseDumbbellBuildsOnTheHeap) {
+  // No execution.backend means the heap, however dense the spec (32 flows
+  // was the old calendar-queue threshold).
   Dumbbell::Config cfg;
-  cfg.flows = Dumbbell::kCalendarQueueFlowThreshold;
-  const TopologySpec dense = Dumbbell::make_spec(cfg);
-  EXPECT_EQ(ScenarioBuilder::auto_backend(dense, compute_routes(dense)),
-            sim::QueueBackend::kCalendarQueue);
+  cfg.flows = 32;
+  auto scenario = ScenarioBuilder{Dumbbell::make_spec(cfg)}.build(uniform_cc(make_reno_factory()));
+  EXPECT_EQ(scenario->simulation().scheduler().backend(), sim::QueueBackend::kBinaryHeap);
 
-  cfg.flows = Dumbbell::kCalendarQueueFlowThreshold - 1;
-  const TopologySpec sparse = Dumbbell::make_spec(cfg);
-  EXPECT_EQ(ScenarioBuilder::auto_backend(sparse, compute_routes(sparse)),
-            sim::QueueBackend::kBinaryHeap);
-
-  // A pinned backend always wins over the estimate.
-  TopologySpec pinned = Dumbbell::make_spec(cfg);
-  pinned.backend = sim::QueueBackend::kCalendarQueue;
-  auto scenario = ScenarioBuilder{pinned}.build(
-      uniform_cc(make_reno_factory()));
-  EXPECT_EQ(scenario->backend(), sim::QueueBackend::kCalendarQueue);
-}
-
-TEST(TopologyTest, EstimatedPendingEventsCountsTimersAndHops) {
-  // One flow over a 3-link dumbbell path: 2 timers + 3 serialization
-  // trains. This is the unit the crossover threshold is denominated in.
-  Dumbbell::Config cfg;
-  cfg.flows = 1;
-  const TopologySpec spec = Dumbbell::make_spec(cfg);
-  EXPECT_EQ(estimated_pending_events(spec, compute_routes(spec)), 5u);
+  cfg.execution.backend = sim::QueueBackend::kCalendarQueue;
+  scenario = ScenarioBuilder{Dumbbell::make_spec(cfg)}.build(uniform_cc(make_reno_factory()));
+  EXPECT_EQ(scenario->simulation().scheduler().backend(), sim::QueueBackend::kCalendarQueue);
 }
 
 // --- scenario handle ------------------------------------------------------
@@ -257,7 +241,7 @@ struct HandWiredWanPath {
   std::unique_ptr<tcp::TcpReceiver> receiver;
   std::unique_ptr<tcp::TcpSender> sender;
 
-  explicit HandWiredWanPath(const WanPath::Config& cfg) : sim{cfg.seed, cfg.backend} {
+  explicit HandWiredWanPath(const WanPath::Config& cfg) : sim{cfg.seed} {
     sender_node = std::make_unique<net::Node>(sim, 1, "sender");
     receiver_node = std::make_unique<net::Node>(sim, 2, "receiver");
     nic = &sender_node->add_device(
@@ -316,8 +300,7 @@ struct HandWiredDumbbell {
   std::vector<std::unique_ptr<tcp::TcpSender>> senders;
   std::vector<std::unique_ptr<tcp::TcpReceiver>> receivers;
 
-  explicit HandWiredDumbbell(const Dumbbell::Config& cfg)
-      : sim{cfg.seed, cfg.backend.value_or(sim::QueueBackend::kBinaryHeap)} {
+  explicit HandWiredDumbbell(const Dumbbell::Config& cfg) : sim{cfg.seed} {
     const auto sender_id = [](std::size_t i) { return 10 + static_cast<std::uint32_t>(i); };
     const auto receiver_id = [](std::size_t i) {
       return 1000 + static_cast<std::uint32_t>(i);

@@ -1,7 +1,6 @@
 // The "execution" spec block and the ExecutionPolicy surface: typed
-// validation of every field, byte-stable round trips (including the
-// deprecated top-level "backend" alias, which must keep old specs
-// byte-identical), and the policy resolution rules the builder applies.
+// validation of every field, byte-stable round trips, and the policy
+// resolution rules the builder applies.
 
 #include "scenario/spec_io.hpp"
 
@@ -74,6 +73,19 @@ TEST(ExecutionSpec, RemovedDeterministicMergeKeyIsUnknown) {
   }
 }
 
+TEST(ExecutionSpec, RemovedTopLevelBackendKeyIsUnknown) {
+  // The queue backend is chosen by execution.backend alone.
+  std::string doc = kMinimalTopology;
+  doc.insert(doc.rfind('}'), ",\n  \"backend\": \"binary_heap\"\n");
+  try {
+    (void)parse_scenario_spec(doc);
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    EXPECT_EQ(e.code(), SpecError::Code::kUnknownField);
+    EXPECT_EQ(e.field(), "backend");
+  }
+}
+
 TEST(ExecutionSpec, ZeroPartitionsIsTypedError) {
   try {
     (void)parse_scenario_spec(with_execution(R"({"partitions": 0})"));
@@ -95,12 +107,16 @@ TEST(ExecutionSpec, BadStrategyIsTypedError) {
 }
 
 TEST(ExecutionSpec, BadBackendIsTypedError) {
-  try {
-    (void)parse_scenario_spec(with_execution(R"({"backend": "skiplist"})"));
-    FAIL() << "expected SpecError";
-  } catch (const SpecError& e) {
-    EXPECT_EQ(e.code(), SpecError::Code::kBadValue);
-    EXPECT_EQ(e.field(), "execution.backend");
+  // "auto" is no longer a spelling: an unset backend is the heap.
+  for (const std::string name : {"skiplist", "auto"}) {
+    SCOPED_TRACE(name);
+    try {
+      (void)parse_scenario_spec(with_execution(R"({"backend": ")" + name + R"("})"));
+      FAIL() << "expected SpecError";
+    } catch (const SpecError& e) {
+      EXPECT_EQ(e.code(), SpecError::Code::kBadValue);
+      EXPECT_EQ(e.field(), "execution.backend");
+    }
   }
 }
 
@@ -118,33 +134,6 @@ TEST(ExecutionSpec, DefaultExecutionIsElidedOnEmit) {
   const std::string emitted = serialize_scenario_spec(parse_scenario_spec(kMinimalTopology));
   EXPECT_EQ(emitted.find("\"execution\""), std::string::npos);
   EXPECT_EQ(serialize_scenario_spec(parse_scenario_spec(emitted)), emitted);
-}
-
-TEST(ExecutionSpec, DeprecatedBackendAliasStillRoundTrips) {
-  std::string doc = kMinimalTopology;
-  doc.insert(doc.rfind('}'), ",\n  \"backend\": \"calendar_queue\"\n");
-  const ScenarioSpec s = parse_scenario_spec(doc);
-  ASSERT_TRUE(s.topology.backend.has_value());
-  EXPECT_EQ(*s.topology.backend, sim::QueueBackend::kCalendarQueue);
-  EXPECT_TRUE(s.topology.execution.is_default());
-  const std::string emitted = serialize_scenario_spec(s);
-  EXPECT_NE(emitted.find("\"backend\": \"calendar_queue\""), std::string::npos);
-  EXPECT_EQ(emitted.find("\"execution\""), std::string::npos);
-  EXPECT_EQ(serialize_scenario_spec(parse_scenario_spec(emitted)), emitted);
-}
-
-TEST(ExecutionSpec, ExplicitExecutionBackendWinsOverAlias) {
-  std::string doc = kMinimalTopology;
-  doc.insert(doc.rfind('}'),
-             ",\n  \"backend\": \"binary_heap\","
-             "\n  \"execution\": {\"backend\": \"calendar_queue\"}\n");
-  const ScenarioSpec s = parse_scenario_spec(doc);
-  // Both fields survive the parse; precedence is the builder's job.
-  ASSERT_TRUE(s.topology.backend.has_value());
-  ASSERT_TRUE(s.topology.execution.backend.has_value());
-  ExecutionPolicy policy = s.topology.execution;
-  if (!policy.backend && s.topology.backend) policy.backend = s.topology.backend;
-  EXPECT_EQ(*policy.backend, sim::QueueBackend::kCalendarQueue);
 }
 
 TEST(ExecutionSpec, PolicyResolveThreadsGuardsZeroHardware) {

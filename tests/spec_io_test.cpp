@@ -166,7 +166,7 @@ TEST(ScenarioSpecTest, ParsesMinimalSpecWithDefaults) {
   const ScenarioSpec s = parse_scenario_spec(kMinimalSpec);
   EXPECT_EQ(s.name, "scenario");
   EXPECT_EQ(s.topology.seed, 1u);
-  EXPECT_FALSE(s.topology.backend.has_value());
+  EXPECT_FALSE(s.topology.execution.backend.has_value());
   ASSERT_EQ(s.topology.nodes.size(), 2u);
   ASSERT_EQ(s.topology.links.size(), 1u);
   EXPECT_EQ(s.topology.links[0].delay, 10_ms);
@@ -220,7 +220,7 @@ TEST(ScenarioSpecTest, WrongTypesAreTyped) {
 
 TEST(ScenarioSpecTest, BadEnumValuesAreTyped) {
   EXPECT_EQ(spec_error_of([] {
-              (void)parse_scenario_spec(R"({"nodes": ["a"], "backend": "quantum"})");
+              (void)parse_scenario_spec(R"({"nodes": ["a"], "execution": {"backend": "quantum"}})");
             }),
             Code::kBadValue);
   EXPECT_EQ(spec_error_of([] {

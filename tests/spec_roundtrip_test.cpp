@@ -1,10 +1,11 @@
-// Spec-format parity: the four C++ topology presets (WanPath, Dumbbell,
-// ParkingLot, MultiBottleneckChain) must survive the trip through the JSON
-// file format — emit -> parse -> re-emit is byte-identical, and the
+// Spec-format parity: the four presets with a default Config (WanPath,
+// Dumbbell, ParkingLot, MultiBottleneckChain) must survive the trip through
+// the JSON file format — emit -> parse -> re-emit is byte-identical, and the
 // re-parsed spec rebuilds a scenario whose observable behaviour (Web100
 // counters, goodput) is byte-identical to one built from the in-memory
 // spec. This is what locks `rss_scenario --emit-preset` output to the C++
-// presets it mirrors.
+// presets it mirrors. The two ScaleMesh presets ("scale", "scale_fluid")
+// make the same trip in `rss_scenario --roundtrip`.
 
 #include <gtest/gtest.h>
 
@@ -58,7 +59,7 @@ TEST_P(PresetRoundTripTest, ReparsedSpecPreservesTheTopology) {
 
   EXPECT_EQ(reparsed.topology.nodes, original.topology.nodes);
   EXPECT_EQ(reparsed.topology.seed, original.topology.seed);
-  EXPECT_EQ(reparsed.topology.backend, original.topology.backend);
+  EXPECT_TRUE(reparsed.topology.execution == original.topology.execution);
   ASSERT_EQ(reparsed.topology.links.size(), original.topology.links.size());
   for (std::size_t i = 0; i < original.topology.links.size(); ++i) {
     const LinkSpec& a = original.topology.links[i];
@@ -178,8 +179,8 @@ TEST(RunSpecTest, IsDeterministicAcrossThreadCounts) {
     "sweep": {"axes": [{"field": "links[0].a_dev.ifq_packets",
                         "values": [10, 20, 30, 40]}]}
   })";
-  const std::string serial = run_spec_text(text, 1).to_csv();
-  const std::string parallel = run_spec_text(text, 4).to_csv();
+  const std::string serial = run_spec_text(text, {.jobs = 1}).to_csv();
+  const std::string parallel = run_spec_text(text, {.jobs = 4}).to_csv();
   EXPECT_EQ(serial, parallel);
 }
 
