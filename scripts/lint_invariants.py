@@ -233,6 +233,8 @@ HOTPATH_FILES = (
     "src/sim/scheduler.cpp",
     "src/sim/event_entry.hpp",
     "src/sim/inline_callback.hpp",
+    # TCP re-arms its retransmission and delayed-ACK timers per packet.
+    "src/sim/timer.hpp",
     # The partitioned window loop (stage -> publish -> drain -> deliver) is
     # part of the steady-state hot path: alloc_guard_test asserts a warm
     # window round performs zero allocations, so the same constructs are

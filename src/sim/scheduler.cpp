@@ -39,15 +39,12 @@ EventId Scheduler::arm_with_rank(Time at, Time stride, std::uint64_t count, Call
   const std::uint32_t index = acquire_slot();
   Slot& slot = slots_[index];
   slot.cb = std::move(cb);
-  slot.at = at;
-  slot.birth = birth;
   slot.stride = stride;
-  slot.seq = rank;
   slot.origin = origin;
   slot.remaining = count;
   slot.armed = true;
   ++live_;
-  push_entry(EventEntry{at, birth, slot.seq, index, origin});
+  push_entry(EventEntry{at, birth, rank, index, origin});
   return EventId{index, slot.gen};
 }
 
@@ -59,6 +56,7 @@ std::uint32_t Scheduler::acquire_slot() {
   }
   slots_.emplace_back();
   heap_pos_.push_back(kNotQueued);
+  if (backend_ == QueueBackend::kCalendarQueue) calendar_keys_.emplace_back();
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
@@ -77,7 +75,15 @@ void Scheduler::release_slot(std::uint32_t index) {
 
 void Scheduler::push_entry(const EventEntry& entry) {
   if (backend_ == QueueBackend::kCalendarQueue) {
+    calendar_keys_[entry.slot] = entry;
     calendar_.push(entry);
+    return;
+  }
+  if (root_hole_) {
+    // Fused pop: overwrite the fired root and sift down once. The heap
+    // below the hole is in order, so any key may take the root.
+    root_hole_ = false;
+    sift_down(0, entry);
     return;
   }
   heap_.emplace_back();
@@ -133,7 +139,8 @@ bool Scheduler::cancel(EventId id) {
   // mid-flight (popped, callback executing): releasing the slot below is
   // what stops the train from re-enqueueing.
   if (backend_ == QueueBackend::kCalendarQueue) {
-    (void)calendar_.remove(slot.at, slot.birth, slot.origin, slot.seq);
+    const EventEntry& key = calendar_keys_[index];
+    (void)calendar_.remove(key.at, key.birth, key.origin, key.seq);
   } else if (heap_pos_[index] != kNotQueued) {
     heap_erase(heap_pos_[index]);
   }
@@ -145,7 +152,14 @@ Time Scheduler::next_event_time() const {
   if (backend_ == QueueBackend::kCalendarQueue) {
     return calendar_.empty() ? Time::infinity() : calendar_.peek_min().at;
   }
-  return heap_.empty() ? Time::infinity() : heap_.front().at;
+  if (!root_hole_) return heap_.empty() ? Time::infinity() : heap_.front().at;
+  // Inside a callback that has pushed nothing yet: the earliest pending
+  // entry is the least of the hole's children.
+  Time next = Time::infinity();
+  for (std::size_t child = 1; child < std::min<std::size_t>(heap_.size(), 5); ++child) {
+    next = std::min(next, heap_[child].at);
+  }
+  return next;
 }
 
 bool Scheduler::step() {
@@ -155,10 +169,23 @@ bool Scheduler::step() {
     if (calendar_.empty()) return false;
     entry = calendar_.pop_min();
   } else {
+    if (root_hole_) close_root_hole();  // step() re-entered from a callback
     if (heap_.empty()) return false;
+    // Fused pop: the entry stays at the root as a hole until the next push
+    // fills it (push_entry) or the guard below closes it.
     entry = heap_.front();
-    heap_erase(0);
+    heap_pos_[entry.slot] = kNotQueued;
+    root_hole_ = true;
   }
+  // Closes a hole no push filled once step() returns — or unwinds, so a
+  // throwing callback leaves no fired entry at the root.
+  struct RootHoleGuard {
+    Scheduler& s;
+    ~RootHoleGuard() {
+      if (s.root_hole_) s.close_root_hole();
+    }
+  };
+  const RootHoleGuard guard{*this};
   now_ = entry.at;
   ++executed_;
   // Move the callback out of the arena before invoking it: the callback may
@@ -166,29 +193,32 @@ bool Scheduler::step() {
   // never execute out of storage that can move underneath it.
   Slot& fired = slots_[entry.slot];
   Callback cb = std::move(fired.cb);
-  const std::uint32_t gen = fired.gen;
-  const bool last = fired.remaining <= 1;
-  if (last) {
+  if (fired.remaining <= 1) {
     // Freed before the callback runs, so cancel(own id) from inside the
     // final firing reports false — the event is no longer pending.
     release_slot(entry.slot);
-  } else {
-    --fired.remaining;
+    cb();
+    return true;
   }
-  cb();
-  if (!last) {
-    // Continue the train unless the callback cancelled it (generation
-    // mismatch). The fresh seq drawn here matches the chained-schedule
-    // pattern trains replace, which also sequenced each next event at the
-    // previous firing — so pop order is byte-identical.
-    Slot& slot = slots_[entry.slot];
-    if (slot.armed && slot.gen == gen) {
-      slot.cb = std::move(cb);
-      slot.at = entry.at + slot.stride;
-      slot.birth = now_;  // re-enqueued at fire time, like the chained pattern
-      slot.seq = draw_rank(slot.origin);
-      push_entry(EventEntry{slot.at, slot.birth, slot.seq, entry.slot, slot.origin});
-    }
+  --fired.remaining;
+  const EventId train{entry.slot, fired.gen};
+  try {
+    cb();
+  } catch (...) {
+    // A train whose callback threw ends there: no next firing is queued,
+    // so it must not stay pending (a no-op if the callback cancelled it).
+    (void)cancel(train);
+    throw;
+  }
+  // Continue the train unless the callback cancelled it (generation
+  // mismatch). The fresh rank drawn here matches the chained-schedule
+  // pattern trains replace, which also sequenced each next event at the
+  // previous firing (birth = now) — so pop order is byte-identical.
+  Slot& slot = slots_[entry.slot];
+  if (slot.armed && slot.gen == train.gen()) {
+    slot.cb = std::move(cb);
+    const Time at = entry.at + slot.stride;
+    push_entry(EventEntry{at, now_, draw_rank(slot.origin), entry.slot, slot.origin});
   }
   return true;
 }
@@ -206,7 +236,7 @@ void Scheduler::run_until(Time until) {
     // at exactly Time::infinity() must still fire under
     // run_until(Time::infinity()) ("events at exactly `until` do fire").
     if (live_ == 0 || next_event_time() > until) break;
-    step();
+    if (!step()) break;
   }
   if (!stop_requested_ && now_ < until) now_ = until;
 }

@@ -61,18 +61,28 @@ class EventId {
 /// InlineCallback (small-buffer, no heap fallback) and live in a slot
 /// arena recycled through a free list; both backends store only the 32-byte
 /// POD EventEntry. Cancellation resolves an EventId to its slot in O(1)
-/// with no hashing — the TCP retransmission timer is rescheduled on every
-/// ACK, so this path is hot. Both backends cancel eagerly, so the queue
-/// holds exactly the pending events and never a dead entry. The heap
-/// backend is an indexed 4-ary min-heap (children of i at 4i+1..4i+4; the
-/// wider fan-out halves the depth and keeps the siblings compared at each
-/// level within two cache lines, after LaMarca & Ladner, "The influence of
-/// caches on the performance of heaps", 1996): every slot records its
-/// entry's heap position, so cancel() moves the last entry into the hole
-/// and re-sifts it in O(log n), as OMNeT++'s cMessageHeap does. The
-/// calendar backend removes by binary search in the entry's sorted bucket —
-/// required anyway, because popping a dead far-future entry would advance
-/// the calendar's monotonic floor past times that are still schedulable.
+/// with no hashing. Both backends cancel eagerly, so the queue holds
+/// exactly the pending events and never a dead entry. Timers that restart
+/// far more often than they expire — TCP's retransmission timer restarts on
+/// every ACK, its delayed ACK is armed and disarmed every other segment —
+/// should not cancel at all: sim::Timer (sim/timer.hpp) keeps one wake-up
+/// queued across re-arms, so they cost a rank draw, not an erase and a push.
+///
+/// The heap backend is an indexed 4-ary min-heap (children of i at
+/// 4i+1..4i+4; the wider fan-out halves the depth and keeps the siblings
+/// compared at each level within two cache lines, after LaMarca & Ladner,
+/// "The influence of caches on the performance of heaps", 1996): every slot
+/// records its entry's heap position, so cancel() moves the last entry into
+/// the hole and re-sifts it in O(log n), as OMNeT++'s cMessageHeap does.
+/// step() fuses the pop with the next push (the replace-top of Knuth, TAOCP
+/// vol. 3 §5.2.3): the fired entry stays at the root as a hole while its
+/// callback runs, and the first push — a train's next firing, a wire's next
+/// head, a TCP send — overwrites the hole and sifts down once, where a pop
+/// then a push would sift twice. The hole holds the smallest key in the
+/// heap, so no other sift ever moves it. The calendar backend removes by
+/// binary search in the entry's sorted bucket — required anyway, because
+/// popping a dead far-future entry would advance the calendar's monotonic
+/// floor past times that are still schedulable.
 class Scheduler {
  public:
   using Callback = InlineCallback;
@@ -174,17 +184,25 @@ class Scheduler {
 
   /// Size of the slot arena (high-water mark of simultaneously-pending
   /// events). Slots are recycled through a free list, so schedule/cancel
-  /// storms — the per-ACK RTO pattern — must not grow this; tests assert it.
+  /// storms must not grow this; tests assert it.
   [[nodiscard]] std::size_t arena_slots() const { return slots_.size(); }
 
-  /// Timestamp of the next pending event, or Time::infinity() if none.
+  /// Timestamp of the earliest pending event, or Time::infinity() if none.
+  /// Inside a callback the firing event is no longer pending: on both
+  /// backends this is the earliest of the other queued events, including
+  /// any the callback has already scheduled. A train's next firing is not
+  /// among them until its callback returns.
   [[nodiscard]] Time next_event_time() const;
 
-  /// Entries physically held by the active queue backend, for tests. Both
-  /// backends cancel eagerly, so this equals pending() except while a train
-  /// occurrence is mid-flight (popped, callback executing).
+  /// Queued entries of the active backend, for tests. A queued entry is a
+  /// pending event's next firing, so this equals pending() except inside a
+  /// train's callback, where the train is pending but its next firing is
+  /// queued only after the callback returns (one less). The heap's root
+  /// hole (see the class comment) is not an entry. A sim::Timer's stale
+  /// wake-up is a pending event like any other.
   [[nodiscard]] std::size_t queued_entries() const {
-    return backend_ == QueueBackend::kCalendarQueue ? calendar_.size() : heap_.size();
+    if (backend_ == QueueBackend::kCalendarQueue) return calendar_.size();
+    return heap_.size() - (root_hole_ ? 1 : 0);
   }
 
  private:
@@ -194,21 +212,18 @@ class Scheduler {
   static constexpr std::uint32_t kNotQueued = 0xFFFF'FFFFu;
 
   /// Arena slot: owns the callback and the bookkeeping shared by one-shot
-  /// events (remaining == 1) and trains (remaining > 1). `at`/`seq` mirror
-  /// the currently-queued EventEntry so the calendar backend can remove it
-  /// eagerly on cancel without any auxiliary map; heap_pos_ does the same
-  /// for the heap backend.
+  /// events (remaining == 1) and trains (remaining > 1). The queued entry's
+  /// key lives in the queue itself: heap_pos_ finds it for the heap backend,
+  /// calendar_keys_ mirrors it for the calendar backend.
   struct Slot {
     Callback cb;
-    Time at;
-    Time birth;
     Time stride;
-    std::uint64_t seq{0};
     std::uint64_t remaining{0};
     std::uint32_t gen{1};
     std::uint32_t origin{0};
     bool armed{false};
   };
+  static_assert(sizeof(Slot) <= 96, "a 10^4-event run keeps 10^4 slots");
 
   EventId arm(Time at, Time stride, std::uint64_t count, Callback cb, Time birth,
               std::uint32_t origin);
@@ -229,17 +244,31 @@ class Scheduler {
   /// Remove the entry at `pos`: the last entry fills the hole and is
   /// re-sifted in whichever direction restores heap order.
   void heap_erase(std::size_t pos);
+  /// Remove the root hole no push filled, as a pop would have. With no
+  /// push since the pop, the hole's slot has queued nothing new, so
+  /// heap_erase may mark it unqueued again.
+  void close_root_hole() {
+    root_hole_ = false;
+    heap_erase(0);
+  }
 
   std::vector<Slot> slots_;
   /// Heap position of each slot's queued entry, indexed like slots_. Kept
   /// beside the arena rather than inside Slot because every sift step
-  /// writes one: 4 bytes per slot stay cache-resident where the 128-byte
+  /// writes one: 4 bytes per slot stay cache-resident where the 96-byte
   /// Slots of a 10^4-event run do not (about 5% of run time on a 10k-flow
   /// mesh).
   std::vector<std::uint32_t> heap_pos_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<EventEntry> heap_;
+  /// Heap backend: step() popped the root, whose entry stays in heap_[0]
+  /// until the next push overwrites it or step() closes it. No heap_pos_
+  /// points at it.
+  bool root_hole_{false};
   CalendarQueue calendar_;
+  /// Calendar backend only: each slot's queued key, indexed like slots_,
+  /// which cancel() needs to find the entry in its bucket.
+  std::vector<EventEntry> calendar_keys_;
   QueueBackend backend_{QueueBackend::kBinaryHeap};
   std::size_t live_{0};
   Time now_{Time::zero()};

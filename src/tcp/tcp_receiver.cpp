@@ -7,7 +7,10 @@
 namespace rss::tcp {
 
 TcpReceiver::TcpReceiver(sim::Simulation& simulation, net::Node& node, Options options)
-    : sim_{simulation}, node_{node}, opt_{options}, rcv_nxt_{options.initial_seq} {
+    : node_{node},
+      opt_{options},
+      rcv_nxt_{options.initial_seq},
+      delack_timer_{simulation.scheduler(), this, &TcpReceiver::fire_delack_timer} {
   if (opt_.ack_every < 1) throw std::invalid_argument("TcpReceiver: ack_every must be >= 1");
   node_.register_flow_handler(opt_.flow_id, [this](const net::Packet& p) { on_packet(p); });
 }
@@ -77,16 +80,18 @@ void TcpReceiver::on_packet(const net::Packet& p) {
   const bool quickack = packets_received_ <= opt_.quickack_segments;
   if (quickack || ++unacked_arrivals_ >= opt_.ack_every) {
     send_ack();
-  } else {
-    schedule_delayed_ack();
+  } else if (!delack_timer_.armed()) {
+    delack_timer_.arm_in(opt_.delayed_ack_timeout);
   }
 }
 
+void TcpReceiver::fire_delack_timer(void* self) {
+  auto& receiver = *static_cast<TcpReceiver*>(self);
+  if (receiver.unacked_arrivals_ > 0) receiver.send_ack();
+}
+
 void TcpReceiver::send_ack() {
-  if (delack_timer_.valid()) {
-    sim_.cancel(delack_timer_);
-    delack_timer_ = sim::EventId{};
-  }
+  delack_timer_.disarm();
   unacked_arrivals_ = 0;
 
   net::Packet ack;
@@ -136,17 +141,6 @@ void TcpReceiver::fill_sack_blocks(net::TcpHeader& header) const {
   for (std::size_t i = 0; i < header.sack_count; ++i) {
     header.sack[i] = {blocks[i].start.raw(), blocks[i].end.raw()};
   }
-}
-
-void TcpReceiver::schedule_delayed_ack() {
-  if (delack_timer_.valid()) return;
-  const auto fire_delack = [this] {
-    delack_timer_ = sim::EventId{};
-    if (unacked_arrivals_ > 0) send_ack();
-  };
-  static_assert(sizeof(fire_delack) <= sim::InlineCallback::kCapacity,
-                "delayed-ACK callback must stay inline on the per-segment hot path");
-  delack_timer_ = sim_.in(opt_.delayed_ack_timeout, fire_delack);
 }
 
 }  // namespace rss::tcp

@@ -7,6 +7,7 @@
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "sim/simulation.hpp"
+#include "sim/timer.hpp"
 #include "tcp/sequence.hpp"
 
 namespace rss::tcp {
@@ -56,11 +57,10 @@ class TcpReceiver {
 
  private:
   void on_packet(const net::Packet& p);
+  static void fire_delack_timer(void* self);  ///< delack_timer_'s handler
   void send_ack();
-  void schedule_delayed_ack();
   void fill_sack_blocks(net::TcpHeader& header) const;
 
-  sim::Simulation& sim_;
   net::Node& node_;
   Options opt_;
 
@@ -82,7 +82,9 @@ class TcpReceiver {
   /// echoes while the ecn option is on (DCTCP state machine).
   bool ce_state_{false};
   int unacked_arrivals_{0};
-  sim::EventId delack_timer_{};
+  /// Armed and disarmed every other segment, so it re-arms lazily (see
+  /// sim::Timer).
+  sim::Timer delack_timer_;
   net::PacketUidSource uid_source_;
   /// Start of the most recently buffered out-of-order segment; its merged
   /// block goes first in the SACK list (RFC 2018 §4).

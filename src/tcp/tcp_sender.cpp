@@ -14,7 +14,8 @@ TcpSender::TcpSender(sim::Simulation& simulation, net::Node& node, net::NetDevic
       cc_{std::move(cc)},
       opt_{options},
       rwnd_{options.rwnd_limit_bytes},
-      rtt_{options.rtt} {
+      rtt_{options.rtt},
+      rto_timer_{simulation.scheduler(), this, &TcpSender::fire_rto_timer} {
   if (!cc_) throw std::invalid_argument("TcpSender: null congestion control");
   if (opt_.mss == 0) throw std::invalid_argument("TcpSender: zero MSS");
   node_.register_flow_handler(opt_.flow_id, [this](const net::Packet& p) { on_packet(p); });
@@ -142,7 +143,7 @@ bool TcpSender::send_segment(std::uint64_t offset, std::uint32_t len, bool retra
     highest_sent_ = std::max(highest_sent_, sent_offset_);
   }
   last_send_activity_ = sim_.now();
-  if (!rto_timer_.valid()) arm_rto_timer();
+  if (!rto_timer_.armed()) arm_rto_timer();
   return true;
 }
 
@@ -327,7 +328,7 @@ void TcpSender::handle_new_ack(std::uint64_t ack_offset, const net::Packet& p) {
   }
 
   if (flight_size_bytes() == 0) {
-    disarm_rto_timer();
+    rto_timer_.disarm();
   } else {
     arm_rto_timer();  // RFC 6298 5.3: restart on new data acked
   }
@@ -378,8 +379,11 @@ void TcpSender::retransmit_head() {
   arm_rto_timer();
 }
 
+void TcpSender::fire_rto_timer(void* self) {
+  static_cast<TcpSender*>(self)->on_retransmission_timeout();
+}
+
 void TcpSender::on_retransmission_timeout() {
-  rto_timer_ = sim::EventId{};
   if (flight_size_bytes() == 0) return;
 
   ++mib_.Timeouts;
@@ -395,23 +399,6 @@ void TcpSender::on_retransmission_timeout() {
   sent_offset_ = acked_offset_;  // go-back-N: everything outstanding is suspect
   arm_rto_timer();
   maybe_send();
-}
-
-void TcpSender::arm_rto_timer() {
-  disarm_rto_timer();
-  // Rescheduled on every ACK — the scheduler's O(1) cancel + inline
-  // callback make this allocation-free, provided the closure stays small.
-  const auto on_rto = [this] { on_retransmission_timeout(); };
-  static_assert(sizeof(on_rto) <= sim::InlineCallback::kCapacity,
-                "RTO callback must stay inline on the per-ACK hot path");
-  rto_timer_ = sim_.in(rtt_.rto(), on_rto);
-}
-
-void TcpSender::disarm_rto_timer() {
-  if (rto_timer_.valid()) {
-    sim_.cancel(rto_timer_);
-    rto_timer_ = sim::EventId{};
-  }
 }
 
 double TcpSender::goodput_mbps(sim::Time t0, sim::Time t1) const {

@@ -13,6 +13,7 @@
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "sim/simulation.hpp"
+#include "sim/timer.hpp"
 #include "tcp/congestion_control.hpp"
 #include "tcp/rtt_estimator.hpp"
 #include "tcp/sequence.hpp"
@@ -140,9 +141,9 @@ class TcpSender final : public CcHost {
   /// Pipe-limited transmission during SACK recovery: retransmit holes
   /// first, then new data, while estimated pipe < cwnd.
   void sack_recovery_send();
+  static void fire_rto_timer(void* self);  ///< rto_timer_'s handler
   void on_retransmission_timeout();
-  void arm_rto_timer();
-  void disarm_rto_timer();
+  void arm_rto_timer() { rto_timer_.arm_in(rtt_.rto()); }
 
   sim::Simulation& sim_;
   net::Node& node_;
@@ -178,7 +179,8 @@ class TcpSender final : public CcHost {
   std::optional<std::pair<std::uint64_t, sim::Time>> timed_segment_;
   /// RFC 2861 bookkeeping: when data last entered the network.
   std::optional<sim::Time> last_send_activity_;
-  sim::EventId rto_timer_{};
+  /// Restarted on every new ACK, so it re-arms lazily (see sim::Timer).
+  sim::Timer rto_timer_;
   sim::EventId stall_retry_timer_{};
 
   web100::Mib mib_;

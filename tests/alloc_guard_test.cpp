@@ -32,6 +32,7 @@
 #include "sim/scheduler.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
+#include "sim/timer.hpp"
 
 namespace rss::sim {
 namespace {
@@ -112,6 +113,46 @@ TEST_P(AllocGuardBackends, SteadyStateCancelStormWithoutPopsIsAllocFree) {
   EXPECT_EQ(scope.allocations(), 0u)
       << "steady-state cancel storm allocated " << scope.allocations() << " times ("
       << scope.bytes() << " bytes)";
+}
+
+/// The per-ACK RTO pattern on sim::Timer: re-armed on every ACK (a tick
+/// popped every microsecond), now and then disarmed, so its one wake-up
+/// keeps going stale and re-queueing itself; it fires once per round.
+TEST_P(AllocGuardBackends, SteadyStateTimerRearmStormIsAllocFree) {
+  Scheduler s{GetParam()};
+  int fired = 0;
+  Timer rto{s, &fired, [](void* count) { ++*static_cast<int*>(count); }};
+  auto round = [&] {
+    for (int i = 0; i < 4000; ++i) {
+      if (i % 64 == 63) {
+        rto.disarm();
+      } else {
+        rto.arm_in(200_us);
+      }
+      s.schedule_in(1_us, [] {});
+      s.run_until(s.now() + 1_us);
+    }
+    s.run_until(s.now() + 1_ms);
+  };
+  // Warm-up: arena + queue storage growth. A calendar bucket reaches its
+  // working capacity only once the tick and a stale wake-up have shared it,
+  // which depends on where the disarms fall in the calendar's year, so warm
+  // until a whole round allocates nothing.
+  for (int warm = 0; warm < 16; ++warm) {
+    const alloc_guard::AllocScope warm_scope;
+    round();
+    if (warm_scope.allocations() == 0) break;
+  }
+  const int warm_fired = fired;
+  const std::size_t warm_slots = s.arena_slots();
+
+  const alloc_guard::AllocScope scope;
+  round();
+  EXPECT_EQ(fired, warm_fired + 1);
+  EXPECT_EQ(scope.allocations(), 0u)
+      << "steady-state timer re-arm storm allocated " << scope.allocations() << " times ("
+      << scope.bytes() << " bytes)";
+  EXPECT_EQ(s.arena_slots(), warm_slots) << "slot arena grew in steady state";
 }
 
 TEST_P(AllocGuardBackends, SteadyStateTrainPopLoopIsAllocFree) {

@@ -249,7 +249,11 @@ INSTANTIATE_TEST_SUITE_P(
 // cancels from the middle and the last queue position, from inside
 // callbacks, of stale ids, and of a train from inside its own firing (its
 // occurrence is then off the queue, so the cancel must not disturb any
-// queued entry). Between steps the queue must hold exactly the live events.
+// queued entry). A callback may also push a tagged event at its own
+// (at, birth), which sorts before the key being fired: the heap's fused pop
+// must let it take the root. Between steps the queue must hold exactly the
+// live events; inside a callback, queued_entries() and next_event_time()
+// must describe the live events other than the one firing.
 class LockstepModel {
  public:
   LockstepModel(QueueBackend backend, std::uint64_t seed) : s_{backend}, rng_{seed} {
@@ -305,6 +309,14 @@ class LockstepModel {
       live.key.birth = Time::nanoseconds(
           static_cast<std::int64_t>(rng_.next_in(0, static_cast<std::uint64_t>(
                                                         birth.nanoseconds_count()))));
+      live.id = s_.schedule_at_imported(live.key.origin, live.key.seq, live.key.birth, at, cb);
+    } else if (kind == 4) {
+      // From inside a callback: the firing event's own (at, birth), tagged,
+      // so it pops before an untagged fired key would have.
+      live.key.origin = static_cast<std::uint32_t>(rng_.next_in(1, kOrigins - 1));
+      live.key.seq = s_.draw_rank(live.key.origin);
+      EXPECT_EQ(live.key.seq, next_rank_[live.key.origin]++);
+      live.key.birth = in_flight_.key.birth;
       live.id = s_.schedule_at_imported(live.key.origin, live.key.seq, live.key.birth, at, cb);
     } else {
       live.key.seq = next_rank_[0]++;
@@ -376,6 +388,8 @@ class LockstepModel {
     fired_.push_back(label);
     EXPECT_EQ(label, in_flight_.key.slot) << "firing " << fired_.size();
     EXPECT_EQ(s_.now(), in_flight_.key.at);
+    check_inside_callback();
+    if (rng_.next_bool(0.1)) schedule(4, s_.now());
     if (rng_.next_bool(0.3)) schedule(rng_.next_in(0, 3), near_future());
     if (rng_.next_bool(0.2) && !live_.empty()) cancel_live(rng_.next_in(0, live_.size() - 1));
     if (rng_.next_bool(0.05)) cancel_stale();
@@ -389,6 +403,19 @@ class LockstepModel {
     } else if (in_flight_.remaining == 1 && rng_.next_bool(0.2)) {
       EXPECT_FALSE(s_.cancel(in_flight_.id));  // last firing: nothing left to cancel
     }
+    check_inside_callback();
+  }
+
+  // The firing event is not queued while its callback runs, on either
+  // backend: a train stays pending, but its next firing is queued only
+  // after the callback returns.
+  void check_inside_callback() {
+    const bool train_continues = in_flight_.remaining > 1 && !in_flight_cancelled_;
+    EXPECT_EQ(s_.pending(), live_.size() + (train_continues ? 1 : 0));
+    EXPECT_EQ(s_.queued_entries(), live_.size());
+    Time next = Time::infinity();
+    for (const Live& live : live_) next = std::min(next, live.key.at);
+    EXPECT_EQ(s_.next_event_time(), next);
   }
 
   Scheduler s_;

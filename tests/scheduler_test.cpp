@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -200,6 +201,55 @@ TEST(SchedulerTest, CancelLeavesNoDeadEntriesInTheQueue) {
     EXPECT_EQ(s.next_event_time(), 200_ms - Time::nanoseconds(9'999));
     s.run();
     EXPECT_EQ(s.events_executed(), 1u);
+    EXPECT_EQ(s.queued_entries(), 0u);
+  }
+}
+
+TEST(SchedulerTest, ThrowingCallbackLeavesNoPhantomEvent) {
+  // A callback that throws ends its event: a one-shot has fired, a train
+  // stops there. The queue must then hold exactly the pending events —
+  // with the fired entry's root hole closed — or run_until would spin on a
+  // pending event that nothing queued will ever fire.
+  for (const auto backend : {QueueBackend::kBinaryHeap, QueueBackend::kCalendarQueue}) {
+    SCOPED_TRACE(backend == QueueBackend::kBinaryHeap ? "heap" : "calendar");
+    for (const std::uint64_t count : {1u, 3u}) {
+      for (const bool later_event : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "count " << count << ", later " << later_event);
+        Scheduler s{backend};
+        int fired = 0;
+        s.schedule_train(1_us, 1_us, count, [] { throw std::runtime_error{"callback failed"}; });
+        if (later_event) s.schedule_at(5_us, [&fired] { ++fired; });
+        EXPECT_THROW(s.step(), std::runtime_error);
+        const std::size_t left = later_event ? 1 : 0;
+        ASSERT_EQ(s.pending(), left);
+        ASSERT_EQ(s.queued_entries(), left);
+        ASSERT_EQ(s.empty(), !later_event);
+        EXPECT_EQ(s.next_event_time(), later_event ? 5_us : Time::infinity());
+        s.run_until(Time::infinity());
+        EXPECT_EQ(fired, later_event ? 1 : 0);
+        EXPECT_TRUE(s.empty());
+        EXPECT_EQ(s.queued_entries(), 0u);
+      }
+    }
+  }
+}
+
+TEST(SchedulerTest, CallbackMayStepTheSchedulerItself) {
+  // A callback that runs the scheduler re-enters step() while its own
+  // entry is still the heap's root hole; the nested step must not fire it
+  // again.
+  for (const auto backend : {QueueBackend::kBinaryHeap, QueueBackend::kCalendarQueue}) {
+    Scheduler s{backend};
+    std::vector<int> order;
+    s.schedule_at(1_ms, [&] {
+      order.push_back(1);
+      s.run_until(2_ms);
+      order.push_back(3);
+    });
+    s.schedule_at(2_ms, [&] { order.push_back(2); });
+    s.schedule_at(4_ms, [&] { order.push_back(4); });
+    s.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
     EXPECT_EQ(s.queued_entries(), 0u);
   }
 }
