@@ -24,10 +24,11 @@ Rules
                       is hash-seed- and libstdc++-version-dependent, which
                       is exactly how a golden goes flaky.
   hotpath-alloc       The scheduler hot path (scheduler.{hpp,cpp},
-                      event_entry.hpp, inline_callback.hpp) and the
-                      partitioned window loop (partition.{hpp,cpp},
-                      cross_link.{hpp,cpp}) must not use std::function,
-                      smart pointers, or non-placement new.
+                      event_entry.hpp, inline_callback.hpp, timer.hpp),
+                      the partitioned window loop (partition.{hpp,cpp},
+                      cross_link.{hpp,cpp}) and the packet path's FIFOs
+                      (ring.hpp, link/queue/codel.{hpp,cpp}) must not use
+                      std::function, smart pointers, or non-placement new.
                       PR 3 made the schedule/cancel/reschedule loop
                       allocation-free; tests/alloc_guard_test.cpp checks
                       the runtime half of that claim, this rule the static
@@ -247,6 +248,13 @@ HOTPATH_FILES = (
     # alloc_guard_test asserts a warm wire delivers with zero allocations.
     "src/net/link.hpp",
     "src/net/link.cpp",
+    # The one FIFO type of the packet path, and the queues built on it:
+    # alloc_guard_test asserts a warm TCP flow over a drop-tail or RED NIC,
+    # and a warm CoDel queue, allocate nothing.
+    "src/sim/ring.hpp",
+    "src/net/queue.cpp",
+    "src/net/codel.hpp",
+    "src/net/codel.cpp",
     # The fluid integrator ticks once per stride for the whole run; its
     # sources/couplings/driver (net/fluid.*) and the queue coupling surface
     # it drives (net/queue.hpp) are steady-state hot path too.

@@ -2,10 +2,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
 
 #include "net/queue.hpp"
+#include "sim/ring.hpp"
 #include "sim/time.hpp"
 
 namespace rss::sim {
@@ -75,7 +75,7 @@ class CodelQueue final : public PacketQueue {
 
   Options opt_;
   const sim::Simulation& sim_;
-  std::deque<Entry> queue_;
+  sim::Ring<Entry> queue_;
   std::size_t bytes_{0};
   bool dropping_{false};
   sim::Time first_above_time_{sim::Time::zero()};

@@ -1,7 +1,6 @@
 #include "net/link.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 #include "net/device.hpp"
 
@@ -68,17 +67,16 @@ void PointToPointLink::transmit_from(const NetDevice& sender, const Packet& p) {
 
 void PointToPointLink::Wire::push(const Packet& p, sim::Time at, sim::Time birth,
                                   std::uint32_t origin, std::uint64_t rank) {
-  if (size_ == ring_.size()) grow();
   // Insert from the back. Without jitter every packet lands there; jitter
   // (or an exact-time tie broken by the origin hash) can carry it forward.
   const InFlight fresh{sim::EventEntry{at, birth, rank, 0, origin}, p};
-  std::size_t pos = size_;
-  while (pos > 0 && sim::event_entry_before(fresh.key, nth(pos - 1).key)) {
-    nth(pos) = nth(pos - 1);
+  ring_.push_back(fresh);
+  std::size_t pos = ring_.size() - 1;
+  while (pos > 0 && sim::event_entry_before(fresh.key, ring_[pos - 1].key)) {
+    ring_[pos] = ring_[pos - 1];
     --pos;
   }
-  nth(pos) = fresh;
-  ++size_;
+  ring_[pos] = fresh;
   if (pos == 0) {
     // A new head: it overtook the armed one (if any), whose key goes back
     // to waiting its turn in the ring.
@@ -87,15 +85,8 @@ void PointToPointLink::Wire::push(const Packet& p, sim::Time at, sim::Time birth
   }
 }
 
-void PointToPointLink::Wire::grow() {
-  std::vector<InFlight> bigger(ring_.empty() ? 16 : 2 * ring_.size());
-  for (std::size_t i = 0; i < size_; ++i) bigger[i] = nth(i);
-  ring_ = std::move(bigger);
-  head_ = 0;
-}
-
 void PointToPointLink::Wire::arm_head() {
-  const sim::EventEntry& key = nth(0).key;
+  const sim::EventEntry& key = ring_.front().key;
   const auto deliver = [this] { fire(); };
   static_assert(sizeof(deliver) <= sim::InlineCallback::kCapacity,
                 "wire delivery callback must stay inline on the scheduler hot path");
@@ -105,11 +96,10 @@ void PointToPointLink::Wire::arm_head() {
 void PointToPointLink::Wire::fire() {
   // Copy out before popping: deliver_up can cascade into a transmit onto
   // this wire, which may reuse (or, growing, reallocate) the head's cell.
-  const Packet arrived = nth(0).packet;
-  head_ = (head_ + 1) & (ring_.size() - 1);
-  --size_;
+  const Packet arrived = ring_.front().packet;
+  ring_.pop_front();
   ++delivered_;
-  if (size_ > 0) {
+  if (!ring_.empty()) {
     arm_head();
   } else {
     armed_ = sim::EventId{};

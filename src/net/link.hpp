@@ -2,11 +2,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "net/packet.hpp"
 #include "sim/event_entry.hpp"
 #include "sim/random.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
 
@@ -87,7 +87,7 @@ class PointToPointLink {
     void push(const Packet& p, sim::Time at, sim::Time birth, std::uint32_t origin,
               std::uint64_t rank);
 
-    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] std::size_t size() const { return ring_.size(); }
     [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
 
    private:
@@ -96,19 +96,14 @@ class PointToPointLink {
       Packet packet;
     };
 
-    [[nodiscard]] InFlight& nth(std::size_t i) { return ring_[(head_ + i) & (ring_.size() - 1)]; }
-    void grow();
     void arm_head();
     void fire();
 
     sim::Simulation* sim_;
     NetDevice* to_{nullptr};
-    /// Power-of-two ring in key order, doubled when full and never shrunk,
-    /// so a warm wire never allocates.
-    std::vector<InFlight> ring_;
-    std::size_t head_{0};
-    std::size_t size_{0};
-    sim::EventId armed_{};  ///< the head's delivery event while size_ > 0
+    /// In key order; a warm wire never allocates.
+    sim::Ring<InFlight> ring_;
+    sim::EventId armed_{};  ///< the head's delivery event while the ring is not empty
     std::uint64_t delivered_{0};
   };
 

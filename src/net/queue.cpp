@@ -7,8 +7,8 @@ namespace rss::net {
 
 namespace {
 
-/// Shared by the deque-backed queues: length of the equal-size head run.
-std::size_t head_run_of_equal_sizes(const std::deque<Packet>& queue, std::size_t max_run) {
+/// Shared by the FIFO queues: length of the equal-size head run.
+std::size_t head_run_of_equal_sizes(const sim::Ring<Packet>& queue, std::size_t max_run) {
   if (queue.empty() || max_run == 0) return 0;
   const std::uint32_t head_size = queue.front().size_bytes();
   std::size_t run = 1;

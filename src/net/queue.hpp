@@ -2,12 +2,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 
 #include "net/packet.hpp"
 #include "sim/random.hpp"
+#include "sim/ring.hpp"
 
 namespace rss::net {
 
@@ -67,7 +67,7 @@ class PacketQueue {
 
   /// Total byte depth: real queued bytes plus the virtual fluid backlog.
   /// This is the introspection surface the fluid coupling reads — no
-  /// friend-class poking at implementation deques.
+  /// friend-class poking at implementation containers.
   [[nodiscard]] std::size_t byte_depth() const { return size_bytes() + virtual_bytes_; }
 
   /// Install the fluid aggregate's share of this queue's occupancy. A
@@ -126,7 +126,7 @@ class DropTailQueue final : public PacketQueue {
  private:
   std::size_t capacity_;
   std::size_t bytes_{0};
-  std::deque<Packet> queue_;
+  sim::Ring<Packet> queue_;
 };
 
 /// Random Early Detection (Floyd & Jacobson '93): probabilistic marking/
@@ -160,7 +160,7 @@ class RedQueue final : public PacketQueue {
  private:
   Options opt_;
   sim::Rng rng_;
-  std::deque<Packet> queue_;
+  sim::Ring<Packet> queue_;
   std::size_t bytes_{0};
   double avg_{0.0};
   std::uint64_t count_since_drop_{0};  ///< packets since last early drop (RED's `count`)

@@ -29,12 +29,15 @@ EventId Scheduler::schedule_train(Time start, Time stride, std::uint64_t count,
 
 EventId Scheduler::arm(Time at, Time stride, std::uint64_t count, Callback cb, Time birth,
                        std::uint32_t origin) {
-  return arm_with_rank(at, stride, count, std::move(cb), birth, origin, draw_rank(origin));
+  return arm_with_rank(at, stride, count, std::move(cb), birth, origin, draw_rank(origin),
+                       false);
 }
 
 EventId Scheduler::arm_with_rank(Time at, Time stride, std::uint64_t count, Callback cb,
-                                 Time birth, std::uint32_t origin, std::uint64_t rank) {
+                                 Time birth, std::uint32_t origin, std::uint64_t rank,
+                                 bool timer) {
   if (at < now_) throw std::invalid_argument("Scheduler: event scheduled in the past");
+  if (birth > at) throw std::invalid_argument("Scheduler: event born after its own fire time");
   if (!cb) throw std::invalid_argument("Scheduler: null callback");
   const std::uint32_t index = acquire_slot();
   Slot& slot = slots_[index];
@@ -43,8 +46,9 @@ EventId Scheduler::arm_with_rank(Time at, Time stride, std::uint64_t count, Call
   slot.origin = origin;
   slot.remaining = count;
   slot.armed = true;
+  slot.timer = timer;
   ++live_;
-  push_entry(EventEntry{at, birth, rank, index, origin});
+  push_entry(EventEntry{at, birth, rank, index, origin}, timer);
   return EventId{index, slot.gen};
 }
 
@@ -73,60 +77,69 @@ void Scheduler::release_slot(std::uint32_t index) {
   --live_;
 }
 
-void Scheduler::push_entry(const EventEntry& entry) {
+void Scheduler::push_entry(const EventEntry& entry, bool timer) {
   if (backend_ == QueueBackend::kCalendarQueue) {
     calendar_keys_[entry.slot] = entry;
     calendar_.push(entry);
     return;
   }
-  if (root_hole_) {
+  Heap& heap = timer ? timer_heap_ : event_heap_;
+  if (hole_ == &heap) {
     // Fused pop: overwrite the fired root and sift down once. The heap
     // below the hole is in order, so any key may take the root.
-    root_hole_ = false;
-    sift_down(0, entry);
+    hole_ = nullptr;
+    sift_down(heap, 0, entry);
     return;
   }
-  heap_.emplace_back();
-  sift_up(heap_.size() - 1, entry);
+  heap.emplace_back();
+  sift_up(heap, heap.size() - 1, entry);
 }
 
-void Scheduler::sift_up(std::size_t pos, EventEntry entry) {
+void Scheduler::sift_up(Heap& heap, std::size_t pos, EventEntry entry) {
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / 4;
-    if (!event_entry_before(entry, heap_[parent])) break;
-    place(pos, heap_[parent]);
+    if (!event_entry_before(entry, heap[parent])) break;
+    place(heap, pos, heap[parent]);
     pos = parent;
   }
-  place(pos, entry);
+  place(heap, pos, entry);
 }
 
-void Scheduler::sift_down(std::size_t pos, EventEntry entry) {
-  const std::size_t size = heap_.size();
+void Scheduler::sift_down(Heap& heap, std::size_t pos, EventEntry entry) {
+  const std::size_t size = heap.size();
   for (;;) {
     const std::size_t first = 4 * pos + 1;
     if (first >= size) break;
     const std::size_t end = std::min(first + 4, size);
     std::size_t best = first;
     for (std::size_t child = first + 1; child < end; ++child) {
-      if (event_entry_before(heap_[child], heap_[best])) best = child;
+      if (event_entry_before(heap[child], heap[best])) best = child;
     }
-    if (!event_entry_before(heap_[best], entry)) break;
-    place(pos, heap_[best]);
+    if (!event_entry_before(heap[best], entry)) break;
+    place(heap, pos, heap[best]);
     pos = best;
   }
-  place(pos, entry);
+  place(heap, pos, entry);
 }
 
-void Scheduler::heap_erase(std::size_t pos) {
-  heap_pos_[heap_[pos].slot] = kNotQueued;
-  const EventEntry last = heap_.back();
-  heap_.pop_back();
-  if (pos == heap_.size()) return;  // the hole was the last position
-  if (pos > 0 && event_entry_before(last, heap_[(pos - 1) / 4])) {
-    sift_up(pos, last);
+void Scheduler::heap_erase(Heap& heap, std::size_t pos) {
+  heap_pos_[heap[pos].slot] = kNotQueued;
+  const EventEntry last = heap.back();
+  heap.pop_back();
+  if (pos == heap.size()) return;  // the hole was the last position
+  if (pos > 0 && event_entry_before(last, heap[(pos - 1) / 4])) {
+    sift_up(heap, pos, last);
   } else {
-    sift_down(pos, last);
+    sift_down(heap, pos, last);
   }
+}
+
+void Scheduler::close_hole() {
+  Heap& heap = *hole_;
+  hole_ = nullptr;
+  const EventEntry last = heap.back();
+  heap.pop_back();
+  if (!heap.empty()) sift_down(heap, 0, last);
 }
 
 bool Scheduler::cancel(EventId id) {
@@ -142,7 +155,7 @@ bool Scheduler::cancel(EventId id) {
     const EventEntry& key = calendar_keys_[index];
     (void)calendar_.remove(key.at, key.birth, key.origin, key.seq);
   } else if (heap_pos_[index] != kNotQueued) {
-    heap_erase(heap_pos_[index]);
+    heap_erase(slot.timer ? timer_heap_ : event_heap_, heap_pos_[index]);
   }
   release_slot(index);
   return true;
@@ -152,12 +165,16 @@ Time Scheduler::next_event_time() const {
   if (backend_ == QueueBackend::kCalendarQueue) {
     return calendar_.empty() ? Time::infinity() : calendar_.peek_min().at;
   }
-  if (!root_hole_) return heap_.empty() ? Time::infinity() : heap_.front().at;
-  // Inside a callback that has pushed nothing yet: the earliest pending
-  // entry is the least of the hole's children.
+  return std::min(earliest(event_heap_), earliest(timer_heap_));
+}
+
+Time Scheduler::earliest(const Heap& heap) const {
+  if (hole_ != &heap) return heap.empty() ? Time::infinity() : heap.front().at;
+  // Inside a callback that has pushed nothing into this heap yet: its
+  // earliest entry is the least of the hole's children.
   Time next = Time::infinity();
-  for (std::size_t child = 1; child < std::min<std::size_t>(heap_.size(), 5); ++child) {
-    next = std::min(next, heap_[child].at);
+  for (std::size_t child = 1; child < std::min<std::size_t>(heap.size(), 5); ++child) {
+    next = std::min(next, heap[child].at);
   }
   return next;
 }
@@ -169,23 +186,28 @@ bool Scheduler::step() {
     if (calendar_.empty()) return false;
     entry = calendar_.pop_min();
   } else {
-    if (root_hole_) close_root_hole();  // step() re-entered from a callback
-    if (heap_.empty()) return false;
+    if (hole_ != nullptr) close_hole();  // step() re-entered from a callback
+    Heap* heap = &event_heap_;
+    if (!timer_heap_.empty() &&
+        (event_heap_.empty() || event_entry_before(timer_heap_.front(), event_heap_.front()))) {
+      heap = &timer_heap_;
+    }
+    if (heap->empty()) return false;
     // Fused pop: the entry stays at the root as a hole until the next push
-    // fills it (push_entry) or the guard below closes it.
-    entry = heap_.front();
+    // into its heap fills it (push_entry) or the guard below closes it.
+    entry = heap->front();
     heap_pos_[entry.slot] = kNotQueued;
-    root_hole_ = true;
+    hole_ = heap;
   }
   // Closes a hole no push filled once step() returns — or unwinds, so a
   // throwing callback leaves no fired entry at the root.
-  struct RootHoleGuard {
+  struct HoleGuard {
     Scheduler& s;
-    ~RootHoleGuard() {
-      if (s.root_hole_) s.close_root_hole();
+    ~HoleGuard() {
+      if (s.hole_ != nullptr) s.close_hole();
     }
   };
-  const RootHoleGuard guard{*this};
+  const HoleGuard guard{*this};
   now_ = entry.at;
   ++executed_;
   // Move the callback out of the arena before invoking it: the callback may
@@ -218,7 +240,7 @@ bool Scheduler::step() {
   if (slot.armed && slot.gen == train.gen()) {
     slot.cb = std::move(cb);
     const Time at = entry.at + slot.stride;
-    push_entry(EventEntry{at, now_, draw_rank(slot.origin), entry.slot, slot.origin});
+    push_entry(EventEntry{at, now_, draw_rank(slot.origin), entry.slot, slot.origin}, false);
   }
   return true;
 }

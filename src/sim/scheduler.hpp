@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -12,6 +11,8 @@
 #include "sim/time.hpp"
 
 namespace rss::sim {
+
+class Timer;
 
 /// Event-queue implementation behind Scheduler. Both backends honor the
 /// same contract — (time, insertion-sequence) pop order — so the choice is
@@ -74,12 +75,33 @@ class EventId {
 /// "The influence of caches on the performance of heaps", 1996): every slot
 /// records its entry's heap position, so cancel() moves the last entry into
 /// the hole and re-sifts it in O(log n), as OMNeT++'s cMessageHeap does.
+///
+/// It keeps two instances of that heap. sim::Timer wake-ups go to the timer
+/// heap, through an entry point only Timer can call; everything else
+/// (trains, wire heads, one-shots, ticks, flow starts) goes to the event
+/// heap. step() pops the lesser of the two roots, and keys are unique, so
+/// pop order is that of one queue. The split is for the packet path: on a
+/// 10^4-flow mesh over 99% of the queued entries are RTO and delayed-ACK
+/// wake-ups, which are mostly restarted or disarmed before they pop (1% of
+/// pops), while the packet events that make up the other 99% of pops are
+/// few at any one time. One heap made each packet pop sift through ~15k
+/// timers; the event heap holds ~60 entries (Varghese & Lauck, "Hashed and
+/// Hierarchical Timing Wheels", 1987, argue the same: timers deserve a
+/// structure of their own). Both heaps share heap_pos_; a slot records
+/// which one its entry is in.
+///
 /// step() fuses the pop with the next push (the replace-top of Knuth, TAOCP
-/// vol. 3 §5.2.3): the fired entry stays at the root as a hole while its
-/// callback runs, and the first push — a train's next firing, a wire's next
-/// head, a TCP send — overwrites the hole and sifts down once, where a pop
-/// then a push would sift twice. The hole holds the smallest key in the
-/// heap, so no other sift ever moves it. The calendar backend removes by
+/// vol. 3 §5.2.3): the fired entry stays at the root of its heap as a hole
+/// while its callback runs, and the first push into *that* heap — a train's
+/// next firing, a wire's next head, a TCP send — overwrites the hole and
+/// sifts down once, where a pop then a push would sift twice. A push into
+/// the other heap is a plain push. The hole holds the smallest key in its
+/// heap, so no other sift ever moves it. If no push filled it, step() moves
+/// the last leaf into the root after the callback and must leave the hole's
+/// heap_pos_ alone: the fired slot was released before the callback ran,
+/// and the callback may have reused it for an entry in the other heap.
+///
+/// The calendar backend keeps one queue for everything and removes by
 /// binary search in the entry's sorted bucket — required anyway, because
 /// popping a dead far-future entry would advance the calendar's monotonic
 /// floor past times that are still schedulable.
@@ -125,9 +147,7 @@ class Scheduler {
   /// call does not touch the local counters.
   EventId schedule_at_imported(std::uint32_t origin, std::uint64_t rank, Time birth,
                                Time at, Callback cb) {
-    if (birth > at)
-      throw std::invalid_argument("Scheduler: event born after its own fire time");
-    return arm_with_rank(at, Time::zero(), 1, std::move(cb), birth, origin, rank);
+    return arm_with_rank(at, Time::zero(), 1, std::move(cb), birth, origin, rank, false);
   }
 
   /// Consume and return the next rank of `origin`'s tie-break stream
@@ -189,32 +209,38 @@ class Scheduler {
 
   /// Timestamp of the earliest pending event, or Time::infinity() if none.
   /// Inside a callback the firing event is no longer pending: on both
-  /// backends this is the earliest of the other queued events, including
-  /// any the callback has already scheduled. A train's next firing is not
-  /// among them until its callback returns.
+  /// backends this is the earliest of the other queued events in either
+  /// heap, including any the callback has already scheduled. A train's next
+  /// firing is not among them until its callback returns. Cheap enough for
+  /// run_until() to ask before every step: two roots, or a hole's children.
   [[nodiscard]] Time next_event_time() const;
 
-  /// Queued entries of the active backend, for tests. A queued entry is a
-  /// pending event's next firing, so this equals pending() except inside a
-  /// train's callback, where the train is pending but its next firing is
-  /// queued only after the callback returns (one less). The heap's root
-  /// hole (see the class comment) is not an entry. A sim::Timer's stale
-  /// wake-up is a pending event like any other.
+  /// Queued entries of the active backend, summed over the heap backend's
+  /// event and timer heaps, for tests. A queued entry is a pending event's
+  /// next firing, so this equals pending() except inside a train's
+  /// callback, where the train is pending but its next firing is queued
+  /// only after the callback returns (one less). The root hole (see the
+  /// class comment), in whichever heap it is, is not an entry. A
+  /// sim::Timer's stale wake-up is a pending event like any other.
   [[nodiscard]] std::size_t queued_entries() const {
     if (backend_ == QueueBackend::kCalendarQueue) return calendar_.size();
-    return heap_.size() - (root_hole_ ? 1 : 0);
+    return event_heap_.size() + timer_heap_.size() - (hole_ != nullptr ? 1 : 0);
   }
 
  private:
-  /// heap_pos_ value of a slot whose entry is not in the heap: a free slot,
+  friend class Timer;
+
+  using Heap = std::vector<EventEntry>;
+
+  /// heap_pos_ value of a slot whose entry is not in a heap: a free slot,
   /// any slot under the calendar backend, or a train whose current
   /// occurrence is mid-flight.
   static constexpr std::uint32_t kNotQueued = 0xFFFF'FFFFu;
 
   /// Arena slot: owns the callback and the bookkeeping shared by one-shot
   /// events (remaining == 1) and trains (remaining > 1). The queued entry's
-  /// key lives in the queue itself: heap_pos_ finds it for the heap backend,
-  /// calendar_keys_ mirrors it for the calendar backend.
+  /// key lives in the queue itself: heap_pos_ finds it in the heap `timer`
+  /// names, calendar_keys_ mirrors it for the calendar backend.
   struct Slot {
     Callback cb;
     Time stride;
@@ -222,35 +248,42 @@ class Scheduler {
     std::uint32_t gen{1};
     std::uint32_t origin{0};
     bool armed{false};
+    bool timer{false};  ///< a sim::Timer wake-up, queued in timer_heap_
   };
   static_assert(sizeof(Slot) <= 96, "a 10^4-event run keeps 10^4 slots");
+
+  /// sim::Timer's wake-up: schedule_at_imported on the default stream, but
+  /// queued in the timer heap.
+  EventId schedule_timer_wakeup(std::uint64_t rank, Time birth, Time at, Callback cb) {
+    return arm_with_rank(at, Time::zero(), 1, std::move(cb), birth, 0, rank, true);
+  }
 
   EventId arm(Time at, Time stride, std::uint64_t count, Callback cb, Time birth,
               std::uint32_t origin);
   EventId arm_with_rank(Time at, Time stride, std::uint64_t count, Callback cb, Time birth,
-                        std::uint32_t origin, std::uint64_t rank);
+                        std::uint32_t origin, std::uint64_t rank, bool timer);
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
-  void push_entry(const EventEntry& entry);
+  void push_entry(const EventEntry& entry, bool timer);
 
-  // Indexed 4-ary heap. Every move of an entry goes through place(), which
+  // Indexed 4-ary heaps. Every move of an entry goes through place(), which
   // keeps the owning slot's heap_pos_ in step.
-  void place(std::size_t pos, const EventEntry& entry) {
-    heap_[pos] = entry;
+  void place(Heap& heap, std::size_t pos, const EventEntry& entry) {
+    heap[pos] = entry;
     heap_pos_[entry.slot] = static_cast<std::uint32_t>(pos);
   }
-  void sift_up(std::size_t pos, EventEntry entry);
-  void sift_down(std::size_t pos, EventEntry entry);
+  void sift_up(Heap& heap, std::size_t pos, EventEntry entry);
+  void sift_down(Heap& heap, std::size_t pos, EventEntry entry);
   /// Remove the entry at `pos`: the last entry fills the hole and is
   /// re-sifted in whichever direction restores heap order.
-  void heap_erase(std::size_t pos);
-  /// Remove the root hole no push filled, as a pop would have. With no
-  /// push since the pop, the hole's slot has queued nothing new, so
-  /// heap_erase may mark it unqueued again.
-  void close_root_hole() {
-    root_hole_ = false;
-    heap_erase(0);
-  }
+  void heap_erase(Heap& heap, std::size_t pos);
+  /// Remove the root hole no push filled, as a pop would have. Unlike
+  /// heap_erase, it leaves heap_pos_ of the hole's slot alone: that slot
+  /// was released before the callback, which may have queued a new entry
+  /// through it in the other heap.
+  void close_hole();
+  /// Time of `heap`'s earliest queued entry, skipping the hole.
+  [[nodiscard]] Time earliest(const Heap& heap) const;
 
   std::vector<Slot> slots_;
   /// Heap position of each slot's queued entry, indexed like slots_. Kept
@@ -260,11 +293,14 @@ class Scheduler {
   /// mesh).
   std::vector<std::uint32_t> heap_pos_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<EventEntry> heap_;
-  /// Heap backend: step() popped the root, whose entry stays in heap_[0]
-  /// until the next push overwrites it or step() closes it. No heap_pos_
-  /// points at it.
-  bool root_hole_{false};
+  /// Everything but timer wake-ups: packet events, ticks, flow starts.
+  Heap event_heap_;
+  /// sim::Timer wake-ups only.
+  Heap timer_heap_;
+  /// Heap backend: the heap whose root step() popped, while the fired entry
+  /// stays in its root until the next push into that heap overwrites it or
+  /// step() closes it; nullptr otherwise. No heap_pos_ points at the hole.
+  Heap* hole_{nullptr};
   CalendarQueue calendar_;
   /// Calendar backend only: each slot's queued key, indexed like slots_,
   /// which cancel() needs to find the entry in its bucket.

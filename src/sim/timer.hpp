@@ -20,12 +20,14 @@ namespace rss::sim {
 /// the new deadline stays queued; one due later is cancelled and the
 /// recorded key queued in its place. disarm() only clears a flag. A wake-up
 /// that pops with a rank other than the recorded one is stale: it re-queues
-/// itself at the recorded key if the timer is armed (schedule_at_imported,
-/// which draws no rank), and has no other effect. So the handler fires at
-/// exactly the key the eager timer's event would have had, every other
-/// event keeps its key, and the rank stream is the eager one: pop order
-/// cannot change. The cost is a stale wake-up now and then, which counts
-/// as a pending and an executed event. At most one wake-up is queued.
+/// itself at the recorded key if the timer is armed (no rank is drawn), and
+/// has no other effect. So the handler fires at exactly the key the eager
+/// timer's event would have had, every other event keeps its key, and the
+/// rank stream is the eager one: pop order cannot change. The cost is a
+/// stale wake-up now and then, which counts as a pending and an executed
+/// event. At most one wake-up is queued, in the Scheduler's timer heap,
+/// apart from packet events (see the Scheduler class comment); only Timer
+/// can queue there.
 ///
 /// The handler is a plain function pointer plus its owner, not an
 /// InlineCallback, because every TCP flow holds two timers.
@@ -63,7 +65,7 @@ class Timer {
     static_assert(sizeof(wake) <= InlineCallback::kCapacity,
                   "timer wake-up must stay inline on the per-ACK hot path");
     wakeup_at_ = deadline_;
-    wakeup_ = scheduler_->schedule_at_imported(0, rank_, birth_, deadline_, wake);
+    wakeup_ = scheduler_->schedule_timer_wakeup(rank_, birth_, deadline_, wake);
   }
 
   void on_wakeup(std::uint64_t rank) {

@@ -15,8 +15,8 @@ void PollingAgent::start() {
   if (running_) return;
   running_ = true;
   poll();  // t = now sample so every series has an origin point
-  sim_.every(period_, [this](sim::Time) {
-    if (!running_) return false;
+  sim_.every(period_, [this, generation = ++generation_](sim::Time) {
+    if (!running_ || generation != generation_) return false;
     poll();
     return true;
   });

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <unordered_map>
@@ -25,7 +26,8 @@ class PollingAgent {
                sim::Time period);
 
   /// Begin polling (first sample at now + period; an initial zero-time
-  /// sample is taken immediately so series start at t=0).
+  /// sample is taken immediately so series start at t=0). A restart after
+  /// stop() begins a fresh schedule from its own now().
   void start();
   void stop() { running_ = false; }
 
@@ -44,6 +46,9 @@ class PollingAgent {
   std::function<const Mib&()> mib_source_;
   sim::Time period_;
   bool running_{false};
+  /// Bumped by every start(); a tick whose chain is older ends it, so a
+  /// stop() then start() before the old tick fires leaves one chain.
+  std::uint64_t generation_{0};
   std::size_t polls_{0};
   std::vector<std::string> names_;
   std::unordered_map<std::string, metrics::TimeSeries> series_;

@@ -23,11 +23,15 @@
 #include <memory>
 #include <vector>
 
+#include "net/codel.hpp"
 #include "net/data_rate.hpp"
 #include "net/device.hpp"
 #include "net/link.hpp"
 #include "net/packet.hpp"
 #include "net/queue.hpp"
+#include "scenario/builder.hpp"
+#include "scenario/cc_factories.hpp"
+#include "scenario/wan_path.hpp"
 #include "sim/partition.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/simulation.hpp"
@@ -199,10 +203,9 @@ TEST_P(AllocGuardBackends, CancelInsideTrainStaysAllocFree) {
 /// Steady-state link wire: once a direction's ring and the scheduler arena
 /// are warm, putting packets on the wire and delivering them — jittered, so
 /// later packets overtake the armed head and re-arm it — performs no heap
-/// allocation. A self-rescheduling sender calls transmit_from directly (the
-/// device's IFQ is a std::deque, which allocates nodes as it cycles), so the
-/// queue holds only the sender and the wire's head however many packets are
-/// in flight, and the calendar backend never re-buckets.
+/// allocation. A self-rescheduling sender calls transmit_from directly, so
+/// the queue holds only the sender and the wire's head however many packets
+/// are in flight, and the calendar backend never re-buckets.
 TEST_P(AllocGuardBackends, SteadyStateLinkWireIsAllocFree) {
   Simulation s{1, GetParam()};
   net::NetDevice a{s, net::DataRate::gbps(1), std::make_unique<net::DropTailQueue>(4), "a"};
@@ -292,6 +295,97 @@ TEST(AllocGuard, SteadyStatePartitionWindowLoopIsAllocFree) {
   EXPECT_EQ(scope.allocations(), 0u)
       << "steady-state window loop allocated " << scope.allocations() << " times ("
       << scope.bytes() << " bytes)";
+}
+
+/// A whole TCP flow in steady state: the paper's WanPath (100 Mb/s NIC with
+/// a 100-packet IFQ) with Web100 polling off, so what runs is the sender,
+/// the receiver, both NICs and the wire. The RTT is cut to 10 ms so that
+/// Reno's sawtooth overflows the IFQ (a send-stall) every second or so, and
+/// a RED NIC drops early. Once slow start is over and every ring, arena and
+/// heap has reached its working size, simulated seconds of transfer,
+/// send-stalls and drops included, allocate nothing: no packet container
+/// allocates per packet.
+struct FlowCase {
+  const char* name;
+  bool rss;
+  scenario::QueueDiscipline qdisc;
+};
+
+class AllocGuardFlow : public ::testing::TestWithParam<FlowCase> {};
+
+TEST_P(AllocGuardFlow, WarmWanPathFlowIsAllocFree) {
+  scenario::WanPath::Config config;
+  config.enable_web100 = false;
+  config.path.one_way_delay = 5_ms;
+  scenario::TopologySpec spec = scenario::WanPath::make_spec(config);
+  spec.links.at(0).a_dev.qdisc = GetParam().qdisc;
+  const auto flow = scenario::ScenarioBuilder{spec}.build(
+      GetParam().rss ? scenario::make_rss_factory() : scenario::make_reno_factory());
+  flow->start_flow(0, Time::zero());
+  flow->run_until(10_s);  // warm-up: slow start, then several sawtooth cycles
+  const web100::Mib& mib = flow->sender(0).mib();
+  const net::QueueStats& nic = flow->device("sender", "receiver").ifq().stats();
+  const std::uint64_t warm_acked = mib.ThruBytesAcked;
+  const std::uint64_t warm_rejected = nic.dropped + nic.ce_marked;
+  const std::size_t warm_slots = flow->simulation().scheduler().arena_slots();
+
+  std::uint64_t allocations = 0;
+  std::uint64_t bytes = 0;
+  {
+    const alloc_guard::AllocScope scope;
+    flow->run_until(15_s);
+    allocations = scope.allocations();
+    bytes = scope.bytes();
+  }
+  EXPECT_EQ(allocations, 0u) << "a warm flow allocated " << allocations << " times (" << bytes
+                             << " bytes) in 5 simulated seconds";
+  EXPECT_GT(mib.ThruBytesAcked, warm_acked + 10'000'000u) << "the flow stalled";
+  if (!GetParam().rss || GetParam().qdisc == scenario::QueueDiscipline::kRed) {
+    EXPECT_GT(nic.dropped + nic.ce_marked, warm_rejected) << "the NIC never pushed back";
+  }
+  EXPECT_EQ(flow->simulation().scheduler().arena_slots(), warm_slots);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Flows, AllocGuardFlow,
+    ::testing::Values(FlowCase{"reno_droptail", false, scenario::QueueDiscipline::kDropTail},
+                      FlowCase{"rss_droptail", true, scenario::QueueDiscipline::kDropTail},
+                      FlowCase{"reno_red", false, scenario::QueueDiscipline::kRed},
+                      FlowCase{"rss_red", true, scenario::QueueDiscipline::kRed}),
+    [](const auto& info) { return std::string{info.param.name}; });
+
+/// CoDel's control law sheds head packets at dequeue. With a sender that
+/// outruns the drain, each cycle builds a standing queue, enters the
+/// dropping state and drops; once the ring is warm none of it allocates.
+TEST(AllocGuard, WarmCodelQueueWithLawDropsIsAllocFree) {
+  Simulation s{1};
+  net::CodelQueue queue{net::CodelQueue::Options{.capacity_packets = 200}, s};
+  net::Packet packet;
+  packet.payload_bytes = 1460;
+  std::uint64_t dequeued = 0;
+  auto round = [&] {
+    for (int i = 0; i < 20'000; ++i) {
+      // Two arrivals per departure, 1 ms apart: the sojourn passes target
+      // within a few cycles and stays above it.
+      (void)queue.enqueue(packet);
+      (void)queue.enqueue(packet);
+      s.run_until(s.now() + 1_ms);
+      if (queue.dequeue()) ++dequeued;
+    }
+  };
+  round();  // warm-up: the ring reaches the queue's capacity
+  const std::uint64_t warm_law_drops = queue.law_drops();
+  const std::uint64_t warm_dequeued = dequeued;
+
+  std::uint64_t allocations = 0;
+  {
+    const alloc_guard::AllocScope scope;
+    round();
+    allocations = scope.allocations();
+  }
+  EXPECT_EQ(allocations, 0u) << "a warm CoDel queue allocated " << allocations << " times";
+  EXPECT_GT(queue.law_drops(), warm_law_drops) << "the control law never dropped";
+  EXPECT_GT(dequeued, warm_dequeued);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, AllocGuardBackends,

@@ -4,20 +4,25 @@
 // event script a simulation can produce. The script below mixes bulk
 // scheduling, re-entrant scheduling from callbacks, random cancellation
 // (including from inside callbacks), run_until() phases, and
-// next_event_time() probes between phases.
+// next_event_time() probes between phases. A second, Timer-heavy script
+// keeps most queued entries in the heap backend's timer heap while packet
+// events come and go in its event heap; the calendar holds both in one queue.
 
 #include "sim/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
+#include "sim/timer.hpp"
 
 namespace rss::sim {
 namespace {
@@ -144,6 +149,111 @@ TEST_P(BackendParityTest, CalendarMatchesHeapExactly) {
   EXPECT_EQ(heap.final_now, cal.final_now);
   EXPECT_EQ(heap.executed, cal.executed);
   EXPECT_EQ(heap.pending, cal.pending);
+}
+
+/// Many TCP-like flows on one scheduler. Each packet event re-arms a random
+/// flow's timer, mostly later (its wake-up goes stale and re-queues itself,
+/// as a retransmission timer does on every ACK), sometimes earlier (cancel
+/// and re-queue) or not at all (disarm), and schedules the next packets; a
+/// timer that fires re-arms itself and sends. Inside some callbacks
+/// next_event_time() is probed with the fired entry's hole in either heap.
+RunTrace drive_timers(QueueBackend backend, const ParityPlan& plan) {
+  constexpr std::size_t kFlows = 48;
+  constexpr std::size_t kTimerLabel = 1'000'000;
+  Scheduler s{backend};
+  Rng rng{plan.seed};
+  RunTrace trace;
+  std::vector<EventId> ids;
+  std::size_t budget = plan.events;
+  std::size_t next_label = 0;
+  const auto soon = [&] {
+    return Time::nanoseconds(
+        static_cast<std::int64_t>(rng.next_in(0, static_cast<std::uint64_t>(plan.horizon_ns))));
+  };
+  const auto record = [&](std::size_t label) {
+    trace.fired.emplace_back(s.now().nanoseconds_count(), label);
+    if (label % 16 == 0) trace.probes.push_back(s.next_event_time().nanoseconds_count());
+  };
+
+  struct Flow {
+    const std::function<void(std::size_t)>* on_timeout{nullptr};
+    std::size_t index{0};
+    std::optional<Timer> rto;
+    static void fire(void* self) {
+      const auto* flow = static_cast<Flow*>(self);
+      (*flow->on_timeout)(flow->index);
+    }
+  };
+  std::vector<Flow> flows(kFlows);
+
+  std::function<void(std::size_t)> packet;
+  const auto send = [&] {
+    if (budget == 0) return;
+    --budget;
+    const std::size_t label = next_label++;
+    if (rng.next_bool(0.1)) {
+      ids.push_back(s.schedule_train(s.now() + soon(), soon(), rng.next_in(2, 5),
+                                     [&packet, label] { packet(label); }));
+    } else {
+      ids.push_back(s.schedule_in(soon(), [&packet, label] { packet(label); }));
+    }
+  };
+  packet = [&](std::size_t label) {
+    record(label);
+    Timer& rto = *flows[rng.next_in(0, kFlows - 1)].rto;
+    const auto op = rng.next_in(0, 9);
+    if (op < 7) {
+      rto.arm_in(soon() * 8 + Time::nanoseconds(plan.horizon_ns));
+    } else if (op < 9) {
+      rto.arm_in(soon());
+    } else {
+      rto.disarm();
+    }
+    send();
+    if (rng.next_bool(0.4)) send();
+    if (rng.next_bool(0.05) && !ids.empty()) {
+      trace.cancel_results.push_back(s.cancel(ids[rng.next_in(0, ids.size() - 1)]));
+    }
+  };
+  const std::function<void(std::size_t)> on_timeout = [&](std::size_t flow) {
+    record(kTimerLabel + flow);
+    if (budget > 0) flows[flow].rto->arm_in(soon() * 4);
+    send();
+  };
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    flows[i].on_timeout = &on_timeout;
+    flows[i].index = i;
+    flows[i].rto.emplace(s, &flows[i], &Flow::fire);
+    flows[i].rto->arm_in(soon() * 8);
+  }
+  for (int i = 0; i < 8; ++i) send();
+
+  s.run_until(Time::nanoseconds(plan.horizon_ns * 4));
+  trace.probes.push_back(s.next_event_time().nanoseconds_count());
+  s.run();
+  trace.final_now = s.now().nanoseconds_count();
+  trace.executed = s.events_executed();
+  trace.pending = s.pending();
+  return trace;
+}
+
+TEST_P(BackendParityTest, TimerHeavyScriptMatchesExactly) {
+  const auto heap = drive_timers(QueueBackend::kBinaryHeap, GetParam());
+  const auto cal = drive_timers(QueueBackend::kCalendarQueue, GetParam());
+
+  ASSERT_EQ(heap.fired.size(), cal.fired.size());
+  for (std::size_t i = 0; i < heap.fired.size(); ++i) {
+    ASSERT_EQ(heap.fired[i], cal.fired[i]) << "firing " << i;
+  }
+  EXPECT_EQ(heap.cancel_results, cal.cancel_results);
+  EXPECT_EQ(heap.probes, cal.probes);
+  EXPECT_EQ(heap.final_now, cal.final_now);
+  EXPECT_EQ(heap.executed, cal.executed);
+  EXPECT_EQ(heap.pending, 0u);
+  EXPECT_EQ(cal.pending, 0u);
+  // The script has to reach the timer heap: wake-ups fire, and stale ones
+  // re-queue, so more events run than packets and timeouts fired.
+  EXPECT_GT(heap.executed, heap.fired.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -4,18 +4,23 @@
 // Also covers the allocation-free machinery underneath: slot-arena reuse
 // under reschedule storms, and schedule_train equivalence with chained
 // one-shot scheduling. A lockstep reference model drives every scheduling
-// surface (ranked, imported, trains, cancels from anywhere) against both
-// backends and checks each firing against event_entry_before.
+// surface (ranked, imported, trains, sim::Timer wake-ups, cancels from
+// anywhere) against both backends and checks each firing against
+// event_entry_before.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "sim/calendar_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/timer.hpp"
 
 namespace rss::sim {
 namespace {
@@ -245,15 +250,17 @@ INSTANTIATE_TEST_SUITE_P(
 // Lockstep reference model: every schedule, cancel and firing is mirrored
 // into a plain vector of live events, and each step() must fire the model's
 // event_entry_before minimum at its time. The script mixes every scheduling
-// surface — untagged, origin-ranked and imported events, trains — with
-// cancels from the middle and the last queue position, from inside
-// callbacks, of stale ids, and of a train from inside its own firing (its
-// occurrence is then off the queue, so the cancel must not disturb any
+// surface — untagged, origin-ranked and imported events, trains, and
+// sim::Timer wake-ups, which the heap backend keeps in a heap of their own —
+// with cancels from the middle and the last position of either heap, from
+// inside callbacks, of stale ids, and of a train from inside its own firing
+// (its occurrence is then off the queue, so the cancel must not disturb any
 // queued entry). A callback may also push a tagged event at its own
 // (at, birth), which sorts before the key being fired: the heap's fused pop
 // must let it take the root. Between steps the queue must hold exactly the
-// live events; inside a callback, queued_entries() and next_event_time()
-// must describe the live events other than the one firing.
+// live events; inside a callback, with the fired entry's hole in either
+// heap, queued_entries() and next_event_time() must describe the live
+// events other than the one firing.
 class LockstepModel {
  public:
   LockstepModel(QueueBackend backend, std::uint64_t seed) : s_{backend}, rng_{seed} {
@@ -274,12 +281,27 @@ class LockstepModel {
 
  private:
   static constexpr std::uint32_t kOrigins = 4;
+  static constexpr std::uint64_t kTimerKind = 5;
+  /// The kinds a script or a callback schedules at a random future time.
+  static constexpr std::array<std::uint64_t, 5> kFutureKinds{0, 1, 2, 3, kTimerKind};
+
+  /// A sim::Timer armed once; its wake-up is the model's event.
+  struct TimerEvent {
+    LockstepModel* model;
+    std::uint32_t label;
+    std::optional<Timer> timer;
+    static void fire(void* self) {
+      const auto* event = static_cast<TimerEvent*>(self);
+      event->model->on_fire(event->label);
+    }
+  };
 
   struct Live {
     EventEntry key;  // `slot` holds the event's label
-    EventId id;
+    EventId id;      // invalid for a timer wake-up: the timer owns it
     Time stride;
     std::uint64_t remaining;
+    TimerEvent* timer{nullptr};
   };
 
   static bool ok() { return !::testing::Test::HasFailure(); }
@@ -310,6 +332,14 @@ class LockstepModel {
           static_cast<std::int64_t>(rng_.next_in(0, static_cast<std::uint64_t>(
                                                         birth.nanoseconds_count()))));
       live.id = s_.schedule_at_imported(live.key.origin, live.key.seq, live.key.birth, at, cb);
+    } else if (kind == kTimerKind) {
+      // arm_in on a fresh timer queues the key schedule_at would: birth
+      // now, a rank drawn from the default stream.
+      live.key.seq = next_rank_[0]++;
+      timers_.push_back(std::make_unique<TimerEvent>(this, label));
+      live.timer = timers_.back().get();
+      live.timer->timer.emplace(s_, live.timer, &TimerEvent::fire);
+      live.timer->timer->arm_in(at - s_.now());
     } else if (kind == 4) {
       // From inside a callback: the firing event's own (at, birth), tagged,
       // so it pops before an untagged fired key would have.
@@ -328,8 +358,15 @@ class LockstepModel {
   }
 
   void cancel_live(std::size_t index) {
-    EXPECT_TRUE(s_.cancel(live_[index].id));
-    dead_.push_back(live_[index].id);
+    if (live_[index].timer != nullptr) {
+      // Destroying a timer cancels its queued wake-up.
+      const std::size_t pending = s_.pending();
+      live_[index].timer->timer.reset();
+      EXPECT_EQ(s_.pending(), pending - 1);
+    } else {
+      EXPECT_TRUE(s_.cancel(live_[index].id));
+      dead_.push_back(live_[index].id);
+    }
     live_[index] = live_.back();
     live_.pop_back();
   }
@@ -339,15 +376,18 @@ class LockstepModel {
     EXPECT_FALSE(s_.cancel(dead_[rng_.next_in(0, dead_.size() - 1)]));
   }
 
+  std::uint64_t future_kind() { return kFutureKinds[rng_.next_in(0, kFutureKinds.size() - 1)]; }
+
   void random_op() {
-    const auto op = rng_.next_in(0, 6);
-    if (op <= 3) {
-      schedule(op, near_future());
-    } else if (op == 4 && !live_.empty()) {
+    const auto op = rng_.next_in(0, 7);
+    if (op <= 4) {
+      schedule(future_kind(), near_future());
+    } else if (op == 5 && !live_.empty()) {
       cancel_live(rng_.next_in(0, live_.size() - 1));  // usually mid-queue
-    } else if (op == 5) {
-      // Latest event in the queue, so it sits at the last heap position.
-      schedule(0, s_.now() + Time::seconds(1) + Time::nanoseconds(next_label_));
+    } else if (op == 6) {
+      // Latest event in its heap, so it sits at the last position.
+      schedule(rng_.next_bool(0.5) ? 0 : kTimerKind,
+               s_.now() + Time::seconds(1) + Time::nanoseconds(next_label_));
       cancel_live(live_.size() - 1);
     } else {
       cancel_stale();
@@ -377,7 +417,7 @@ class LockstepModel {
       next.key.seq = next_rank_[0]++;
       --next.remaining;
       live_.push_back(next);
-    } else if (!in_flight_cancelled_) {
+    } else if (!in_flight_cancelled_ && in_flight_.timer == nullptr) {
       dead_.push_back(in_flight_.id);
     }
     EXPECT_EQ(s_.pending(), live_.size());
@@ -390,16 +430,17 @@ class LockstepModel {
     EXPECT_EQ(s_.now(), in_flight_.key.at);
     check_inside_callback();
     if (rng_.next_bool(0.1)) schedule(4, s_.now());
-    if (rng_.next_bool(0.3)) schedule(rng_.next_in(0, 3), near_future());
+    if (rng_.next_bool(0.3)) schedule(future_kind(), near_future());
     if (rng_.next_bool(0.2) && !live_.empty()) cancel_live(rng_.next_in(0, live_.size() - 1));
     if (rng_.next_bool(0.05)) cancel_stale();
     if (in_flight_.remaining > 1 && rng_.next_bool(0.2)) {
       // Self-cancel mid-train; a schedule right after reuses the freed slot,
-      // which the train's continuation must not mistake for itself.
+      // in either heap, which the train's continuation must not mistake for
+      // itself.
       EXPECT_TRUE(s_.cancel(in_flight_.id));
       in_flight_cancelled_ = true;
       dead_.push_back(in_flight_.id);
-      if (rng_.next_bool(0.5)) schedule(0, near_future());
+      if (rng_.next_bool(0.5)) schedule(rng_.next_bool(0.5) ? 0 : kTimerKind, near_future());
     } else if (in_flight_.remaining == 1 && rng_.next_bool(0.2)) {
       EXPECT_FALSE(s_.cancel(in_flight_.id));  // last firing: nothing left to cancel
     }
@@ -424,6 +465,7 @@ class LockstepModel {
   std::vector<EventId> dead_;
   std::vector<std::uint64_t> next_rank_ = std::vector<std::uint64_t>(kOrigins, 1);
   std::vector<std::uint32_t> fired_;
+  std::vector<std::unique_ptr<TimerEvent>> timers_;
   Live in_flight_{};
   bool in_flight_cancelled_{false};
   std::uint32_t next_label_{0};
@@ -437,6 +479,38 @@ TEST_P(RandomScheduleTest, LockstepModelMatchesBothBackends) {
   ASSERT_FALSE(HasFailure()) << "calendar backend diverged from the model";
   EXPECT_EQ(heap, cal);
   EXPECT_GT(heap.size(), plan.events / 2);
+}
+
+// The hole rule across the heap backend's two heaps: a one-shot pops from
+// the event heap, and its callback's only schedule is a timer wake-up, which
+// reuses the one-shot's freed slot in the timer heap. Closing the event
+// heap's hole after the callback must leave that slot's heap position
+// alone, so that a later cancel of the wake-up removes it.
+TEST(TwoHeapTest, WakeUpInTheFiredSlotSurvivesTheHoleClose) {
+  using namespace rss::sim::literals;
+  Scheduler s;
+  int timer_fired = 0;
+  std::optional<Timer> timer;
+  timer.emplace(s, &timer_fired, [](void* count) { ++*static_cast<int*>(count); });
+  int later_fired = 0;
+  s.schedule_at(5_ms, [&later_fired] { ++later_fired; });
+  s.schedule_at(1_ms, [&timer] { timer->arm_in(10_ms); });
+  ASSERT_EQ(s.arena_slots(), 2u);
+
+  ASSERT_TRUE(s.step());
+  EXPECT_EQ(s.arena_slots(), 2u) << "the wake-up did not reuse the fired slot";
+  ASSERT_EQ(s.pending(), 2u);
+  ASSERT_EQ(s.queued_entries(), 2u);
+  EXPECT_EQ(s.next_event_time(), 5_ms);
+
+  timer.reset();  // cancels the queued wake-up
+  ASSERT_EQ(s.pending(), 1u);
+  ASSERT_EQ(s.queued_entries(), 1u) << "the cancelled wake-up is still queued";
+  EXPECT_EQ(s.next_event_time(), 5_ms);
+  s.run();
+  EXPECT_EQ(later_fired, 1);
+  EXPECT_EQ(timer_fired, 0);
+  EXPECT_EQ(s.events_executed(), 2u);
 }
 
 TEST(CalendarQueueTest, ResizesUnderLoad) {

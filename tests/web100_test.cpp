@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "web100/polling_agent.hpp"
 
@@ -77,6 +79,26 @@ TEST(PollingAgentTest, StopHaltsPolling) {
   sim.at(55_ms, [&] { agent.stop(); });
   sim.run_until(1_s);
   EXPECT_LE(agent.polls_taken(), 7u);
+}
+
+// stop() then start() before the old chain's next tick: that tick must end
+// its chain rather than poll beside the new one.
+TEST(PollingAgentTest, RestartKeepsOneSchedule) {
+  sim::Simulation sim;
+  Mib mib;
+  PollingAgent agent{sim, [&]() -> const Mib& { return mib; }, 10_ms};
+  agent.start();
+  sim.at(15_ms, [&] {
+    agent.stop();
+    agent.start();
+  });
+  sim.run_until(100_ms);
+  std::vector<std::int64_t> poll_ms;
+  for (const auto& sample : agent.series("SendStall").samples()) {
+    poll_ms.push_back(sample.t.nanoseconds_count() / 1'000'000);
+  }
+  EXPECT_EQ(poll_ms, (std::vector<std::int64_t>{0, 10, 15, 25, 35, 45, 55, 65, 75, 85, 95}));
+  EXPECT_EQ(agent.polls_taken(), 11u);
 }
 
 TEST(PollingAgentTest, UnknownVariableThrows) {
