@@ -11,8 +11,10 @@
 //               parking-lot scenario and a scheduler churn loop on both
 //               backends, the partitioned and fluid legs and a spec-sweep
 //               expansion for a few seconds each and write
-//               BENCH_scheduler.json (events/sec per scenario and backend),
-//               so the perf trajectory is recorded per commit.
+//               BENCH_scheduler.json (events/sec per scenario and backend,
+//               plus simulated seconds per wall second for every
+//               simulation leg), so the perf trajectory is recorded per
+//               commit.
 //               Options: --out <path> (default BENCH_scheduler.json),
 //               --seconds <n> (approx budget per backend, default 2).
 
@@ -168,18 +170,27 @@ BENCHMARK(BM_FullWanSimulation)->Arg(0)->Arg(1)->ArgName("calendar")->Unit(bench
 // loops whose results land in a small JSON file the workflow uploads.
 // ---------------------------------------------------------------------------
 
+/// One leg's totals. A simulation leg also counts the simulated seconds it
+/// ran: simulated seconds per wall second is its headline rate, which an
+/// engine change that removes events (and so lowers events/sec while
+/// running faster) cannot misread. Legs that simulate nothing (scheduler
+/// churn, spec sweep) leave it at 0 and report events/sec only.
 struct SmokeResult {
   std::uint64_t events{0};
   double seconds{0.0};
+  double sim_seconds{0.0};
   [[nodiscard]] double events_per_sec() const {
     return seconds > 0 ? static_cast<double>(events) / seconds : 0.0;
+  }
+  [[nodiscard]] double sim_seconds_per_sec() const {
+    return seconds > 0 ? sim_seconds / seconds : 0.0;
   }
 };
 
 /// Repeat 1-simulated-second packet-dense WAN runs until the wall budget is
-/// spent. Events/sec here is the headline number: it is dominated by
-/// schedule/pop of packet serializations, deliveries, ACK timers — the
-/// exact mix production sweeps pay for.
+/// spent. Simulated seconds per wall second here is the headline number:
+/// the cost of the packet path — deliveries, serializations, ACK timers —
+/// that production sweeps pay for.
 SmokeResult smoke_wan(sim::QueueBackend backend, double budget_seconds) {
   SmokeResult r;
   const auto t0 = std::chrono::steady_clock::now();
@@ -187,6 +198,7 @@ SmokeResult smoke_wan(sim::QueueBackend backend, double budget_seconds) {
     scenario::WanPath wan{packet_dense_config(backend), scenario::make_rss_factory()};
     wan.run_bulk_transfer(sim::Time::zero(), 1_s);
     r.events += wan.simulation().scheduler().events_executed();
+    r.sim_seconds += 1.0;
     r.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   }
   return r;
@@ -208,6 +220,7 @@ SmokeResult smoke_parkinglot(sim::QueueBackend backend, double budget_seconds) {
     lot.start_all(sim::Time::zero());
     lot.simulation().run_until(1_s);
     r.events += lot.simulation().scheduler().events_executed();
+    r.sim_seconds += 1.0;
     r.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   }
   return r;
@@ -241,6 +254,7 @@ SmokeResult smoke_scale(std::size_t partitions, double budget_seconds,
       s->start_flow(i, sim::Time::zero());
     s->run_until(1_s);
     r.events += s->events_executed();
+    r.sim_seconds += 1.0;
     r.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   }
   return r;
@@ -251,12 +265,10 @@ SmokeResult smoke_scale(std::size_t partitions, double budget_seconds,
 /// cross traffic fluidized into rate-ODE aggregates. Both variants simulate
 /// the same horizon, so the wall-time-per-simulated-second ratio printed by
 /// run_smoke is the speedup fluidization buys on cross-traffic studies;
-/// events/sec stays the regression-gated engine-throughput metric for each
-/// variant.
+/// each variant's simulated seconds per wall second is its gated rate.
 SmokeResult smoke_parkinglot_fluid(bool fluid, double budget_seconds, double* wall_per_sim) {
   SmokeResult r;
   constexpr std::int64_t kHorizonSeconds = 20;
-  std::uint64_t sim_seconds = 0;
   const auto t0 = std::chrono::steady_clock::now();
   while (r.seconds < budget_seconds) {
     scenario::ParkingLot::Config cfg;
@@ -267,12 +279,10 @@ SmokeResult smoke_parkinglot_fluid(bool fluid, double budget_seconds, double* wa
     lot.start_all(sim::Time::zero());
     lot.simulation().run_until(sim::Time::seconds(kHorizonSeconds));
     r.events += lot.simulation().scheduler().events_executed();
-    sim_seconds += static_cast<std::uint64_t>(kHorizonSeconds);
+    r.sim_seconds += static_cast<double>(kHorizonSeconds);
     r.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   }
-  if (wall_per_sim != nullptr && sim_seconds > 0) {
-    *wall_per_sim = r.seconds / static_cast<double>(sim_seconds);
-  }
+  if (wall_per_sim != nullptr && r.sim_seconds > 0) *wall_per_sim = r.seconds / r.sim_seconds;
   return r;
 }
 
@@ -298,6 +308,7 @@ SmokeResult smoke_scale_fluid(std::size_t partitions, double budget_seconds) {
       s->start_flow(i, sim::Time::zero());
     s->run_until(1_s);
     r.events += s->events_executed();
+    r.sim_seconds += 1.0;
     r.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   }
   return r;
@@ -368,8 +379,12 @@ void write_json_entry(std::ostream& os, std::string_view scenario, std::string_v
                       const SmokeResult& res, bool trailing_comma) {
   os << "    {\"scenario\": \"" << scenario << "\", \"backend\": \"" << backend
      << "\", \"events\": " << res.events << ", \"wall_seconds\": " << res.seconds
-     << ", \"events_per_sec\": " << static_cast<std::uint64_t>(res.events_per_sec()) << "}"
-     << (trailing_comma ? "," : "") << "\n";
+     << ", \"events_per_sec\": " << static_cast<std::uint64_t>(res.events_per_sec());
+  if (res.sim_seconds > 0) {
+    os << ", \"sim_seconds\": " << res.sim_seconds
+       << ", \"sim_seconds_per_sec\": " << res.sim_seconds_per_sec();
+  }
+  os << "}" << (trailing_comma ? "," : "") << "\n";
 }
 
 int run_smoke(const std::vector<std::string>& args) {
@@ -440,7 +455,10 @@ int run_smoke(const std::vector<std::string>& args) {
   for (const auto& row : rows) {
     std::cout << row.scenario << " / " << row.backend << ": "
               << static_cast<std::uint64_t>(row.result.events_per_sec()) << " events/sec ("
-              << row.result.events << " events in " << row.result.seconds << "s)\n";
+              << row.result.events << " events in " << row.result.seconds << "s)";
+    if (row.result.sim_seconds > 0)
+      std::cout << ", " << row.result.sim_seconds_per_sec() << " simulated s/s";
+    std::cout << "\n";
   }
   std::cout << "wrote " << out_path << "\n";
   return 0;

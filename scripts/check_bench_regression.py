@@ -2,7 +2,11 @@
 """Bench-regression guard for the scheduler smoke benchmark.
 
 Diffs a freshly produced BENCH_scheduler.json against the checked-in
-bench/baseline.json, per (scenario, backend) pair, on events/sec. A pair
+bench/baseline.json, per (scenario, backend) pair. A pair is gated on
+simulated seconds per wall second (sim_seconds_per_sec) when its baseline
+row has that rate, else on events/sec: a simulation leg's events/sec falls
+when the engine removes events, however much faster it runs, so only the
+legs that simulate nothing (scheduler churn, spec sweep) keep it. A pair
 that falls more than --tolerance below its baseline fails the check; a
 pair more than --tolerance above it is reported as a candidate for a
 baseline refresh (run with --update, or copy the fresh file over
@@ -17,16 +21,25 @@ import shutil
 import sys
 
 
+RATES = (("sim_seconds_per_sec", "sim-s/s"), ("events_per_sec", "ev/s"))
+
+
 def load_results(path):
+    """{(scenario, backend): {rate name: value}} for every row."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
     results = {}
     for entry in doc.get("results", []):
         key = (entry["scenario"], entry["backend"])
-        results[key] = float(entry["events_per_sec"])
+        results[key] = {name: float(entry[name]) for name, _ in RATES if name in entry}
     if not results:
         sys.exit(f"error: {path} contains no results")
     return results
+
+
+def gated_rate(row):
+    """The (name, unit) a baseline row is gated on: its first rate in RATES."""
+    return next((name, unit) for name, unit in RATES if name in row)
 
 
 def main():
@@ -60,17 +73,18 @@ def main():
     for key in sorted(baseline):
         scenario, backend = key
         label = f"{scenario} / {backend}"
-        base = baseline[key]
-        if key not in fresh:
-            print(f"{label:<{width}}  FAIL   missing from fresh results")
+        rate, unit = gated_rate(baseline[key])
+        base = baseline[key][rate]
+        if rate not in fresh.get(key, {}):
+            print(f"{label:<{width}}  FAIL   {rate} missing from fresh results")
             failures += 1
             continue
-        now = fresh[key]
+        now = fresh[key][rate]
         ratio = now / base
         if ratio < 1.0 - args.tolerance:
             print(
-                f"{label:<{width}}  FAIL   {now:>12,.0f} ev/s vs baseline "
-                f"{base:>12,.0f} ({ratio - 1.0:+.1%}, tolerance -{args.tolerance:.0%})"
+                f"{label:<{width}}  FAIL   {now:>12,.1f} {unit} vs baseline "
+                f"{base:>12,.1f} ({ratio - 1.0:+.1%}, tolerance -{args.tolerance:.0%})"
             )
             failures += 1
         else:
@@ -79,8 +93,8 @@ def main():
                 note = "  (faster than baseline; consider --update)"
                 improvements += 1
             print(
-                f"{label:<{width}}  OK     {now:>12,.0f} ev/s vs baseline "
-                f"{base:>12,.0f} ({ratio - 1.0:+.1%}){note}"
+                f"{label:<{width}}  OK     {now:>12,.1f} {unit} vs baseline "
+                f"{base:>12,.1f} ({ratio - 1.0:+.1%}){note}"
             )
 
     for key in sorted(set(fresh) - set(baseline)):

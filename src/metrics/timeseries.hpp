@@ -29,6 +29,8 @@ class TimeSeries {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] bool empty() const { return samples_.empty(); }
   [[nodiscard]] std::size_t size() const { return samples_.size(); }
+  /// Samples the series holds before recording one more reallocates.
+  [[nodiscard]] std::size_t capacity() const { return samples_.capacity(); }
   [[nodiscard]] std::span<const Sample> samples() const { return samples_; }
   [[nodiscard]] const Sample& front() const { return samples_.front(); }
   [[nodiscard]] const Sample& back() const { return samples_.back(); }

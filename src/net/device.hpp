@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -11,6 +12,7 @@
 #include "net/packet.hpp"
 #include "net/queue.hpp"
 #include "sim/simulation.hpp"
+#include "sim/time.hpp"
 
 namespace rss::net {
 
@@ -34,6 +36,23 @@ struct DeviceStats {
 /// serialization time apart. When a push finds the IFQ full, the device
 /// rejects it — the Linux `NET_XMIT_CN` "send-stall" — and notifies the
 /// stall observer so TCP can react (and Web100 can count it).
+///
+/// Completions are scheduled: a serialization train per equal-size head
+/// run. A device that is a FIFO server nobody else draws ranks for can
+/// instead apply its departures lazily (depart_lazily(), which
+/// ScenarioBuilder calls for the NIC of a single-NIC host whose IFQ is
+/// drop-tail or RED and whose link is lossless, jitter-free and within one
+/// partition). Its packet in service departs at done = start + tx, and the
+/// next starts at done (Lindley's d_k = max(a_k, d_{k-1}) + tx_k), so no
+/// event is needed: catch_up() applies every departure whose key, (done,
+/// start) on the default stream, comes before the scheduler's frontier —
+/// tx stats, dequeue of the next packet, and the packet onto the wire keyed
+/// at `done`, its rank drawn in FIFO order, as the train firing would have.
+/// Everything that reads or changes the device catches up first (send, the
+/// accessors below), and so does the outgoing wire before it delivers.
+/// Anything that breaks the conditions puts the device back on scheduled
+/// completions (schedule_departures()): loss or jitter on its link, a
+/// second device on its node, a fluid share, a new event origin.
 class NetDevice {
  public:
   using ReceiveCallback = std::function<void(const Packet&, NetDevice&)>;
@@ -68,18 +87,31 @@ class NetDevice {
   [[nodiscard]] const StallCallback& stall_callback() const { return stall_cb_; }
   [[nodiscard]] sim::Simulation& simulation() const { return sim_; }
 
-  [[nodiscard]] const PacketQueue& ifq() const { return *ifq_; }
+  [[nodiscard]] const PacketQueue& ifq() const {
+    catch_up();
+    return *ifq_;
+  }
   /// Mutable IFQ access for the fluid coupling, which pushes the aggregate's
   /// virtual backlog into the queue between events.
-  [[nodiscard]] PacketQueue& mutable_ifq() { return *ifq_; }
+  [[nodiscard]] PacketQueue& mutable_ifq() {
+    catch_up();
+    return *ifq_;
+  }
   [[nodiscard]] DataRate rate() const { return rate_; }
-  [[nodiscard]] const DeviceStats& stats() const { return stats_; }
+  [[nodiscard]] const DeviceStats& stats() const {
+    catch_up();
+    return stats_;
+  }
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] bool transmitting() const { return busy_; }
+  [[nodiscard]] bool transmitting() const {
+    catch_up();
+    return busy_;
+  }
 
   /// Occupancy including the packet currently being serialized — what
   /// Linux's qdisc-length probe would report, and the PID process variable.
   [[nodiscard]] std::size_t occupancy_packets() const {
+    catch_up();
     return ifq_->size_packets() + (busy_ ? 1u : 0u);
   }
   [[nodiscard]] std::size_t ifq_capacity() const { return ifq_->capacity_packets(); }
@@ -98,8 +130,35 @@ class NetDevice {
   /// topology — instead of scheduler insertion order, which is what keeps
   /// partitioned runs pop-order-identical to sequential ones. 0 (the
   /// default) is the shared legacy stream.
-  void set_event_origin(std::uint32_t origin) { event_origin_ = origin; }
+  void set_event_origin(std::uint32_t origin) {
+    schedule_departures();
+    event_origin_ = origin;
+  }
   [[nodiscard]] std::uint32_t event_origin() const { return event_origin_; }
+
+  /// Apply departures lazily from now on (see the class comment). The
+  /// caller vouches that the node has no other device; the device checks
+  /// the rest and throws std::logic_error unless it is idle, attached and
+  /// tagged with a nonzero origin, has no fluid share and its link allows
+  /// it. The IFQ must not decide at dequeue (drop-tail or RED, not CoDel).
+  void depart_lazily();
+  /// Back to scheduled completions: catch up, then arm the packet in
+  /// service at its train firing's key (done, start) and the rest of its
+  /// train behind it. A no-op unless lazy.
+  void schedule_departures();
+  [[nodiscard]] bool departs_lazily() const { return lazy_; }
+  /// Apply the departures that come before the scheduler's frontier. The
+  /// device is never a const object while lazy (depart_lazily() is not
+  /// const), so the const accessors may catch up.
+  void catch_up() const {
+    if (lazy_) const_cast<NetDevice*>(this)->apply_departures();
+  }
+  /// Lazy only: the departure time of the packet in service as of the last
+  /// catch-up, or nullopt when idle or not lazy. Does not catch up.
+  [[nodiscard]] std::optional<sim::Time> lazy_departure() const {
+    if (!lazy_ || !busy_) return std::nullopt;
+    return done_;
+  }
 
  private:
   /// Longest serialization train armed in one go. Bounds how far ahead the
@@ -108,6 +167,10 @@ class NetDevice {
 
   void try_start_tx();
   void complete_tx();
+  void apply_departures();
+  /// The first completion after schedule_departures(): completes the packet
+  /// in service, then arms the rest of its train.
+  void resume_train();
 
   sim::Simulation& sim_;
   DataRate rate_;
@@ -121,11 +184,16 @@ class NetDevice {
   /// closure) so the serialization callback captures only `this` and stays
   /// within the scheduler's inline-callback budget.
   Packet serializing_{};
-  /// Completions left in the current serialization train (0 when idle).
+  /// Completions left in the current serialization train (0 when idle),
+  /// counted down by catch_up() too while the train is not armed.
   std::uint64_t train_left_{0};
+  /// Lazy only: when the packet in service started and departs.
+  sim::Time start_{};
+  sim::Time done_{};
   double fluid_share_{0.0};
   std::uint32_t event_origin_{0};
   bool busy_{false};
+  bool lazy_{false};
 };
 
 }  // namespace rss::net

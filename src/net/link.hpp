@@ -24,6 +24,14 @@ class NetDevice;
 /// engine instead of pushing them onto the wire directly); devices and
 /// experiments keep talking to the concrete PointToPointLink surface
 /// either way.
+///
+/// A sender that applies its departures lazily (see NetDevice) hands them
+/// over through depart(), keyed at their departure time, and its wire
+/// follows it (track()): before delivering, the wire applies the sender's
+/// departures that come first, and while no packet is on it, the wire keeps
+/// the sender's packet in service armed at the key its delivery will have.
+/// set_loss_rate and set_jitter first put both endpoints back on scheduled
+/// completions, since a lossy or jittery direction is not a FIFO.
 class PointToPointLink {
  public:
   PointToPointLink(sim::Simulation& simulation, sim::Time propagation_delay);
@@ -37,6 +45,16 @@ class PointToPointLink {
 
   /// Called by an endpoint device when a packet finishes serialization.
   virtual void transmit_from(const NetDevice& sender, const Packet& p);
+
+  /// Lazy departures: put `p`, which left `sender` at `done`, on the wire
+  /// with the key transmit_from would have drawn at that time.
+  void depart(const NetDevice& sender, const Packet& p, sim::Time done);
+  /// Lazy departures: make the wire from `sender` follow it (or stop).
+  /// Throws unless the direction is a FIFO on the sender's own scheduler:
+  /// no loss, no jitter, no partition cut.
+  void track(NetDevice& sender, bool lazy);
+  /// Lazy departures: `sender` started serving a packet while idle.
+  void expect(const NetDevice& sender);
 
   /// Enable random loss with probability `p` per packet (0 disables).
   virtual void set_loss_rate(double p, sim::Rng rng);
@@ -69,11 +87,20 @@ class PointToPointLink {
   /// only the head. When the head fires it arms the next packet's key and
   /// then hands the packet up, so pop order is exactly that of one event
   /// per packet while the queue holds one event per busy direction.
+  ///
+  /// The armed delivery is the wire's persistent scheduler slot (see
+  /// Scheduler): one slot for the wire's life, re-keyed in place when a
+  /// packet overtakes the head and re-armed from its own firing. A wire
+  /// following a lazy sender (track()) also arms, while its ring is empty,
+  /// the sender's packet in service at (done + delay, done, origin, the
+  /// origin's next rank): the key depart() will give it, since no one else
+  /// draws from that origin. Its firing first applies the sender's due
+  /// departures, that packet's among them, then delivers the head.
   class Wire {
    public:
     /// `simulation` is the destination's: the partition that owns `to`.
-    explicit Wire(sim::Simulation& simulation) : sim_{&simulation} {}
-    /// The armed delivery event (and a cross-partition handoff) holds the
+    Wire(sim::Simulation& simulation, sim::Time delay);
+    /// The persistent slot (and a cross-partition handoff) holds the
     /// wire's address.
     Wire(const Wire&) = delete;
     Wire& operator=(const Wire&) = delete;
@@ -87,6 +114,13 @@ class PointToPointLink {
     void push(const Packet& p, sim::Time at, sim::Time birth, std::uint32_t origin,
               std::uint64_t rank);
 
+    /// Follow the lazy sender `from`, or stop following (nullptr).
+    void follow(NetDevice* from);
+    /// The followed sender started serving a packet while idle; arm its
+    /// delivery unless packets are on the wire.
+    void expect();
+
+    [[nodiscard]] sim::Simulation& simulation() const { return *sim_; }
     [[nodiscard]] std::size_t size() const { return ring_.size(); }
     [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
 
@@ -96,15 +130,24 @@ class PointToPointLink {
       Packet packet;
     };
 
-    void arm_head();
-    void fire();
+    static void fire(void* wire);
+    void deliver();
+    /// Arm the earliest delivery: the ring's head, else the followed
+    /// sender's packet in service; disarm when there is neither.
+    void arm_next();
 
     sim::Simulation* sim_;
     NetDevice* to_{nullptr};
+    /// The lazy sender this wire follows, or nullptr.
+    NetDevice* from_{nullptr};
+    sim::Time delay_;
     /// In key order; a warm wire never allocates.
     sim::Ring<InFlight> ring_;
-    sim::EventId armed_{};  ///< the head's delivery event while the ring is not empty
+    sim::EventId slot_;  ///< persistent; armed while a delivery is due
     std::uint64_t delivered_{0};
+    /// Set while the slot's own firing applies the sender's departures,
+    /// which must not arm it for the packet it is about to deliver.
+    bool firing_{false};
   };
 
   /// For CrossPartitionLink: endpoint a lives in `sim_a`, b in `sim_b`,
@@ -114,6 +157,8 @@ class PointToPointLink {
   /// The wire toward `sender`'s peer; throws unless `sender` is one of the
   /// attached endpoints.
   [[nodiscard]] Wire& wire_from(const NetDevice& sender);
+  /// Put both attached endpoints back on scheduled completions.
+  void schedule_departures();
 
   sim::Simulation& sim_;
   sim::Time delay_;

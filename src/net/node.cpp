@@ -10,6 +10,9 @@ Node::Node(sim::Simulation& simulation, std::uint32_t id, std::string name)
 
 NetDevice& Node::add_device(DataRate rate, std::unique_ptr<PacketQueue> ifq,
                             std::string device_name) {
+  // A second device shares the node's rank stream, so no device may keep
+  // applying its departures lazily.
+  for (const auto& dev : devices_) dev->schedule_departures();
   if (device_name.empty()) device_name = name_ + "/eth" + std::to_string(devices_.size());
   auto dev = std::make_unique<NetDevice>(sim_, rate, std::move(ifq), std::move(device_name));
   dev->set_receive_callback(

@@ -289,6 +289,11 @@ std::unique_ptr<Scenario> ScenarioBuilder::build(const FlowCcFactory& cc_factory
   // device indices match the RouteTable's adjacency. A link whose
   // endpoints landed in different partitions becomes a CrossPartitionLink
   // staging through the engine.
+  struct FifoDevice {
+    std::size_t node;
+    net::NetDevice* device;
+  };
+  std::vector<FifoDevice> fifo_devices;  // drop-tail/RED IFQ, link within a partition
   for (const auto& link : spec.links) {
     const std::size_t a = scenario->index_of(link.a);
     const std::size_t b = scenario->index_of(link.b);
@@ -311,6 +316,8 @@ std::unique_ptr<Scenario> ScenarioBuilder::build(const FlowCcFactory& cc_factory
     if (pa == pb) {
       scenario->links_.push_back(
           std::make_unique<net::PointToPointLink>(sim_of_node(a), link.delay));
+      if (link.a_dev.qdisc != QueueDiscipline::kCodel) fifo_devices.push_back({a, &a_dev});
+      if (link.b_dev.qdisc != QueueDiscipline::kCodel) fifo_devices.push_back({b, &b_dev});
     } else {
       sim::HandoffChannel& fwd = scenario->engine_->add_channel(pa, pb);
       sim::HandoffChannel& rev = scenario->engine_->add_channel(pb, pa);
@@ -428,6 +435,15 @@ std::unique_ptr<Scenario> ScenarioBuilder::build(const FlowCcFactory& cc_factory
   // tick is a single self-rescheduling event regardless of how many
   // aggregates it integrates.
   for (const auto& driver : scenario->fluid_drivers_) driver->start();
+
+  // A host's only NIC is the only drawer of its node's rank stream, so it
+  // can apply its departures lazily: one event per packet hop, the wire
+  // delivery, instead of a serialization completion as well. Spec links
+  // carry no loss or jitter; a later set_loss_rate/set_jitter demotes.
+  for (const FifoDevice& fifo : fifo_devices) {
+    if (scenario->nodes_[fifo.node]->device_count() == 1 && coupling_of.count(fifo.device) == 0)
+      fifo.device->depart_lazily();
+  }
 
   // Spec-declared starts, scheduled after every flow is wired so flow
   // construction order never interleaves with start events.

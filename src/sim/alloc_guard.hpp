@@ -88,7 +88,10 @@ inline void* counted_aligned_alloc(std::size_t size, std::size_t align) {
   return p;
 }
 
-inline void counted_free(void* p) {
+// Never inlined: once both the replaced operator new and this free were
+// inlined into one caller, GCC would see free() on a new-expression's
+// pointer and warn (-Wmismatched-new-delete), an error under RSS_WERROR.
+[[gnu::noinline]] inline void counted_free(void* p) {
   if (p != nullptr) counters().deallocations.fetch_add(1, std::memory_order_relaxed);
   std::free(p);  // NOLINT(cppcoreguidelines-no-malloc)
 }

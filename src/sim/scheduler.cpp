@@ -42,9 +42,8 @@ EventId Scheduler::arm_with_rank(Time at, Time stride, std::uint64_t count, Call
   const std::uint32_t index = acquire_slot();
   Slot& slot = slots_[index];
   slot.cb = std::move(cb);
-  slot.stride = stride;
+  slot.train = Train{stride, count};
   slot.origin = origin;
-  slot.remaining = count;
   slot.armed = true;
   slot.timer = timer;
   ++live_;
@@ -68,7 +67,7 @@ void Scheduler::release_slot(std::uint32_t index) {
   Slot& slot = slots_[index];
   slot.cb = Callback{};
   slot.armed = false;
-  slot.remaining = 0;
+  slot.train.remaining = 0;
   // Bump the generation so stale EventIds referencing this slot can never
   // match again. Generation 0 is reserved: EventId{slot 0, gen 0} would
   // collide with the inert default id.
@@ -142,23 +141,75 @@ void Scheduler::close_hole() {
   if (!heap.empty()) sift_down(heap, 0, last);
 }
 
+void Scheduler::unqueue(std::uint32_t index) {
+  if (backend_ == QueueBackend::kCalendarQueue) {
+    const EventEntry& key = calendar_keys_[index];
+    (void)calendar_.remove(key.at, key.birth, key.origin, key.seq);
+  } else if (heap_pos_[index] != kNotQueued) {
+    heap_erase(slots_[index].timer ? timer_heap_ : event_heap_, heap_pos_[index]);
+  }
+}
+
 bool Scheduler::cancel(EventId id) {
   if (!id.valid()) return false;
   const std::uint32_t index = id.slot();
   if (index >= slots_.size()) return false;
   Slot& slot = slots_[index];
-  if (!slot.armed || slot.gen != id.gen()) return false;
-  // Either removal may find nothing when a train's current occurrence is
+  if (!slot.armed || slot.gen != id.gen() || slot.persistent) return false;
+  // The removal may find nothing when a train's current occurrence is
   // mid-flight (popped, callback executing): releasing the slot below is
   // what stops the train from re-enqueueing.
-  if (backend_ == QueueBackend::kCalendarQueue) {
-    const EventEntry& key = calendar_keys_[index];
-    (void)calendar_.remove(key.at, key.birth, key.origin, key.seq);
-  } else if (heap_pos_[index] != kNotQueued) {
-    heap_erase(slot.timer ? timer_heap_ : event_heap_, heap_pos_[index]);
-  }
+  unqueue(index);
   release_slot(index);
   return true;
+}
+
+EventId Scheduler::add_persistent(PersistentFn fn, void* context) {
+  if (fn == nullptr) throw std::invalid_argument("Scheduler: null persistent handler");
+  const std::uint32_t index = acquire_slot();
+  Slot& slot = slots_[index];
+  slot.persistent = true;
+  slot.timer = false;
+  slot.handler = Handler{fn, context};
+  return EventId{index, slot.gen};
+}
+
+Scheduler::Slot& Scheduler::persistent_slot(EventId id) {
+  if (id.slot() >= slots_.size() || !slots_[id.slot()].persistent ||
+      slots_[id.slot()].gen != id.gen())
+    throw std::invalid_argument("Scheduler: not a persistent slot");
+  return slots_[id.slot()];
+}
+
+void Scheduler::arm_persistent(EventId id, std::uint32_t origin, std::uint64_t rank, Time birth,
+                               Time at) {
+  Slot& slot = persistent_slot(id);
+  if (at < now_) throw std::invalid_argument("Scheduler: event scheduled in the past");
+  if (birth > at) throw std::invalid_argument("Scheduler: event born after its own fire time");
+  const EventEntry entry{at, birth, rank, id.slot(), origin};
+  if (slot.armed) {
+    const EventEntry& queued = backend_ == QueueBackend::kCalendarQueue
+                                   ? calendar_keys_[id.slot()]
+                                   : event_heap_[heap_pos_[id.slot()]];
+    if (queued.at == at && queued.birth == birth && queued.seq == rank && queued.origin == origin)
+      return;
+    // Re-key: erase, then push. While a hole is open every entry of its
+    // heap sorts after it, so the erase cannot disturb it, and the push
+    // fills it.
+    unqueue(id.slot());
+  } else {
+    slot.armed = true;
+    ++live_;
+  }
+  push_entry(entry, false);
+}
+
+void Scheduler::disarm_persistent(EventId id) {
+  Slot& slot = persistent_slot(id);
+  if (!slot.armed) return;
+  unqueue(id.slot());
+  slot.armed = false;
+  --live_;
 }
 
 Time Scheduler::next_event_time() const {
@@ -209,20 +260,30 @@ bool Scheduler::step() {
   };
   const HoleGuard guard{*this};
   now_ = entry.at;
+  frontier_ = entry;
   ++executed_;
+  Slot& fired = slots_[entry.slot];
+  if (fired.persistent) {
+    // Called in place: the handler is two words, copied out first, so the
+    // arena may grow under it.
+    fired.armed = false;
+    --live_;
+    const Handler handler = fired.handler;
+    handler.fn(handler.context);
+    return true;
+  }
   // Move the callback out of the arena before invoking it: the callback may
   // schedule (growing slots_ and relocating every Slot) or cancel, and must
   // never execute out of storage that can move underneath it.
-  Slot& fired = slots_[entry.slot];
   Callback cb = std::move(fired.cb);
-  if (fired.remaining <= 1) {
+  if (fired.train.remaining <= 1) {
     // Freed before the callback runs, so cancel(own id) from inside the
     // final firing reports false — the event is no longer pending.
     release_slot(entry.slot);
     cb();
     return true;
   }
-  --fired.remaining;
+  --fired.train.remaining;
   const EventId train{entry.slot, fired.gen};
   try {
     cb();
@@ -239,7 +300,7 @@ bool Scheduler::step() {
   Slot& slot = slots_[entry.slot];
   if (slot.armed && slot.gen == train.gen()) {
     slot.cb = std::move(cb);
-    const Time at = entry.at + slot.stride;
+    const Time at = entry.at + slot.train.stride;
     push_entry(EventEntry{at, now_, draw_rank(slot.origin), entry.slot, slot.origin}, false);
   }
   return true;
@@ -260,7 +321,10 @@ void Scheduler::run_until(Time until) {
     if (live_ == 0 || next_event_time() > until) break;
     if (!step()) break;
   }
-  if (!stop_requested_ && now_ < until) now_ = until;
+  if (stop_requested_ || until < now_) return;
+  now_ = until;
+  // Every key at or before `until` has fired; a later one has not.
+  frontier_ = EventEntry{until, Time::infinity(), 0, 0, 0};
 }
 
 }  // namespace rss::sim

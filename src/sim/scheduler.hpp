@@ -105,9 +105,29 @@ class EventId {
 /// binary search in the entry's sorted bucket — required anyway, because
 /// popping a dead far-future entry would advance the calendar's monotonic
 /// floor past times that are still schedulable.
+///
+/// Persistent slots serve owners that keep at most one event queued for
+/// their whole life and re-arm it after nearly every firing: a link wire's
+/// next delivery. add_persistent() reserves an arena slot holding a plain
+/// function and its context; arm_persistent() queues it at a given key,
+/// re-keying it if it is already queued, and disarm_persistent() takes it
+/// off the queue, on both backends. The slot is never released and its
+/// handler is called in place, so a firing costs no slot acquire, release
+/// or callback move; re-arming it from its own handler fills the fused
+/// pop's hole like any other push. cancel() refuses a persistent slot.
+///
+/// The frontier is the key of the run's progress, for owners that apply
+/// their own effects lazily (see NetDevice's lazy departures): inside a
+/// callback it is the entry executing, after a bare step() the last entry
+/// popped, and after run_until(t) every key at or before t. reached(at,
+/// birth) says whether an untagged event with that key would already have
+/// fired. Partition drains insert only keys after the window end, so the
+/// rule holds under partitioned runs too.
 class Scheduler {
  public:
   using Callback = InlineCallback;
+  /// Handler of a persistent slot.
+  using PersistentFn = void (*)(void* context);
 
   explicit Scheduler(QueueBackend backend = QueueBackend::kBinaryHeap) : backend_{backend} {}
   Scheduler(const Scheduler&) = delete;
@@ -159,6 +179,11 @@ class Scheduler {
     return next_rank_[origin]++;
   }
 
+  /// The rank draw_rank(origin) would return next, without consuming it.
+  [[nodiscard]] std::uint64_t peek_rank(std::uint32_t origin) const {
+    return origin < next_rank_.size() ? next_rank_[origin] : 1;
+  }
+
   /// Pre-size the per-origin rank counters so ranked scheduling for origins
   /// < `count` never allocates on the hot path. The builder calls this with
   /// node_count + 1 on every partition's scheduler.
@@ -178,8 +203,32 @@ class Scheduler {
 
   /// Cancel a pending event or train. Safe to call with an already-fired,
   /// already-cancelled, or default-constructed id; returns true iff
-  /// something was actually cancelled.
+  /// something was actually cancelled. A persistent slot is never
+  /// cancelled (false); disarm it instead.
   bool cancel(EventId id);
+
+  /// Reserve a persistent slot whose firings call `fn(context)` (see the
+  /// class comment). It starts disarmed and lives as long as the scheduler.
+  EventId add_persistent(PersistentFn fn, void* context);
+
+  /// Queue persistent slot `id` at key (at, birth, origin, rank), which the
+  /// caller drew (as for schedule_at_imported), replacing the key it is
+  /// queued at, if any. An armed slot is one pending event.
+  void arm_persistent(EventId id, std::uint32_t origin, std::uint64_t rank, Time birth,
+                      Time at);
+
+  /// Take persistent slot `id` off the queue; a no-op when it is not armed.
+  void disarm_persistent(EventId id);
+
+  /// Whether an untagged event keyed (at, birth) comes before the frontier
+  /// (see the class comment), i.e. would already have fired. An untagged
+  /// entry at the frontier's own (at, birth) counts as before it: the rank
+  /// that would order the two is not known to the caller.
+  [[nodiscard]] bool reached(Time at, Time birth) const {
+    if (at != frontier_.at) return at < frontier_.at;
+    if (birth != frontier_.birth) return birth < frontier_.birth;
+    return frontier_.origin == 0;
+  }
 
   /// Run until the queue is empty or `stop()` is called.
   void run();
@@ -237,18 +286,34 @@ class Scheduler {
   /// occurrence is mid-flight.
   static constexpr std::uint32_t kNotQueued = 0xFFFF'FFFFu;
 
-  /// Arena slot: owns the callback and the bookkeeping shared by one-shot
-  /// events (remaining == 1) and trains (remaining > 1). The queued entry's
-  /// key lives in the queue itself: heap_pos_ finds it in the heap `timer`
-  /// names, calendar_keys_ mirrors it for the calendar backend.
-  struct Slot {
-    Callback cb;
+  /// Firing count of a one-shot event (remaining == 1) or a train
+  /// (remaining > 1).
+  struct Train {
     Time stride;
     std::uint64_t remaining{0};
+  };
+  /// A persistent slot's handler.
+  struct Handler {
+    PersistentFn fn;
+    void* context;
+  };
+
+  /// Arena slot: owns the callback and the bookkeeping of one event, train
+  /// or persistent slot. The queued entry's key lives in the queue itself:
+  /// heap_pos_ finds it in the heap `timer` names, calendar_keys_ mirrors
+  /// it for the calendar backend. `armed` means pending for a one-shot or
+  /// a train, queued for a persistent slot.
+  struct Slot {
+    Callback cb;  ///< empty for a persistent slot
+    union {
+      Train train{};    ///< one-shots and trains
+      Handler handler;  ///< persistent slots
+    };
     std::uint32_t gen{1};
     std::uint32_t origin{0};
     bool armed{false};
-    bool timer{false};  ///< a sim::Timer wake-up, queued in timer_heap_
+    bool timer{false};       ///< a sim::Timer wake-up, queued in timer_heap_
+    bool persistent{false};  ///< never released; `handler` is live
   };
   static_assert(sizeof(Slot) <= 96, "a 10^4-event run keeps 10^4 slots");
 
@@ -284,6 +349,10 @@ class Scheduler {
   void close_hole();
   /// Time of `heap`'s earliest queued entry, skipping the hole.
   [[nodiscard]] Time earliest(const Heap& heap) const;
+  /// Take slot `index`'s queued entry off the active backend's queue.
+  void unqueue(std::uint32_t index);
+  /// The persistent slot `id` names; throws for any other id.
+  Slot& persistent_slot(EventId id);
 
   std::vector<Slot> slots_;
   /// Heap position of each slot's queued entry, indexed like slots_. Kept
@@ -312,6 +381,8 @@ class Scheduler {
   /// default stream and behaves exactly like the old global sequence.
   std::vector<std::uint64_t> next_rank_ = std::vector<std::uint64_t>(1, 1);
   std::uint64_t executed_{0};
+  /// See the class comment. Starts at time zero, before any event fires.
+  EventEntry frontier_{};
   bool stop_requested_{false};
 };
 

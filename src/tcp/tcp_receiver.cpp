@@ -44,8 +44,13 @@ void TcpReceiver::on_packet(const net::Packet& p) {
   if (seq > rcv_nxt_) {
     // Gap: buffer and emit an immediate duplicate ACK (RFC 5681 §3.2).
     ++out_of_order_;
-    auto [it, inserted] = ooo_.emplace(seq, p.payload_bytes);
-    if (!inserted && p.payload_bytes > it->second) it->second = p.payload_bytes;
+    const auto it = std::lower_bound(ooo_.begin(), ooo_.end(), seq,
+                                     [](const Buffered& b, SeqNum s) { return b.start < s; });
+    if (it == ooo_.end() || it->start != seq) {
+      ooo_.insert(it, Buffered{seq, p.payload_bytes});
+    } else if (p.payload_bytes > it->length) {
+      it->length = p.payload_bytes;
+    }
     last_ooo_seq_ = seq;
     send_ack();
     return;
@@ -58,18 +63,16 @@ void TcpReceiver::on_packet(const net::Packet& p) {
 
   // Pull any now-contiguous buffered segments.
   bool filled_gap = false;
-  while (!ooo_.empty()) {
-    const auto it = ooo_.begin();
-    const SeqNum buf_start = it->first;
-    const SeqNum buf_end = buf_start + it->second;
-    if (buf_start > rcv_nxt_) break;
+  auto pulled = ooo_.begin();
+  for (; pulled != ooo_.end() && !(pulled->start > rcv_nxt_); ++pulled) {
+    const SeqNum buf_end = pulled->start + pulled->length;
     if (buf_end > rcv_nxt_) {
       bytes_received_ += static_cast<std::uint32_t>(distance(rcv_nxt_, buf_end));
       rcv_nxt_ = buf_end;
       filled_gap = true;
     }
-    ooo_.erase(it);
   }
+  ooo_.erase(ooo_.begin(), pulled);
 
   if (filled_gap) {
     // ACK immediately after a gap fill so recovery completes promptly.
@@ -117,12 +120,12 @@ void TcpReceiver::fill_sack_blocks(net::TcpHeader& header) const {
     SeqNum end;
   };
   std::vector<Block> blocks;
-  for (const auto& [seq, len] : ooo_) {
-    const SeqNum end = seq + len;
-    if (!blocks.empty() && seq <= blocks.back().end) {
+  for (const Buffered& segment : ooo_) {
+    const SeqNum end = segment.start + segment.length;
+    if (!blocks.empty() && segment.start <= blocks.back().end) {
       if (end > blocks.back().end) blocks.back().end = end;
     } else {
-      blocks.push_back({seq, end});
+      blocks.push_back({segment.start, end});
     }
   }
   // RFC 2018 §4: the block containing the most recently received segment

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <vector>
 
 #include "net/node.hpp"
 #include "net/packet.hpp"
@@ -65,12 +65,16 @@ class TcpReceiver {
   Options opt_;
 
   SeqNum rcv_nxt_;
-  /// Out-of-order segments: start seq (modular order) -> length. Stored
-  /// with a comparator over SeqNum so reassembly is wrap-safe.
-  struct SeqLess {
-    bool operator()(SeqNum a, SeqNum b) const { return a < b; }
+  /// An out-of-order segment: start seq and length.
+  struct Buffered {
+    SeqNum start;
+    std::uint32_t length;
   };
-  std::map<SeqNum, std::uint32_t, SeqLess> ooo_;
+  /// Out-of-order segments, sorted by start in modular (wrap-safe) order,
+  /// one per start. A vector keeps its capacity, so once it has held a
+  /// window's worth of holes, buffering allocates nothing (a map allocated
+  /// a node per segment).
+  std::vector<Buffered> ooo_;
 
   std::uint64_t bytes_received_{0};
   std::uint64_t packets_received_{0};

@@ -1,33 +1,37 @@
 #include "web100/mib.hpp"
 
+#include <cstddef>
 #include <ostream>
 
 namespace rss::web100 {
 
-std::vector<std::pair<std::string, double>> flatten(const Mib& m) {
-  return {
-      {"PktsOut", static_cast<double>(m.PktsOut)},
-      {"DataBytesOut", static_cast<double>(m.DataBytesOut)},
-      {"PktsRetrans", static_cast<double>(m.PktsRetrans)},
-      {"BytesRetrans", static_cast<double>(m.BytesRetrans)},
-      {"ThruBytesAcked", static_cast<double>(m.ThruBytesAcked)},
-      {"AcksIn", static_cast<double>(m.AcksIn)},
-      {"DupAcksIn", static_cast<double>(m.DupAcksIn)},
-      {"SendStall", static_cast<double>(m.SendStall)},
-      {"CongestionSignals", static_cast<double>(m.CongestionSignals)},
-      {"Timeouts", static_cast<double>(m.Timeouts)},
-      {"FastRetran", static_cast<double>(m.FastRetran)},
-      {"OtherReductions", static_cast<double>(m.OtherReductions)},
-      {"CurCwnd", m.CurCwnd},
-      {"MaxCwnd", m.MaxCwnd},
-      {"CurSsthresh", m.CurSsthresh},
-      {"CurRwinRcvd", static_cast<double>(m.CurRwinRcvd)},
-      {"SlowStartSegments", static_cast<double>(m.SlowStartSegments)},
-      {"CongAvoidSegments", static_cast<double>(m.CongAvoidSegments)},
-      {"SmoothedRTT_ms", static_cast<double>(m.SmoothedRTT.milliseconds_count())},
-      {"CurRTO_ms", static_cast<double>(m.CurRTO.milliseconds_count())},
-      {"MinRTT_ms", static_cast<double>(m.MinRTT.milliseconds_count())},
+FlatMib flatten(const Mib& m) {
+  const std::array<double, kVariableNames.size()> values{
+      static_cast<double>(m.PktsOut),
+      static_cast<double>(m.DataBytesOut),
+      static_cast<double>(m.PktsRetrans),
+      static_cast<double>(m.BytesRetrans),
+      static_cast<double>(m.ThruBytesAcked),
+      static_cast<double>(m.AcksIn),
+      static_cast<double>(m.DupAcksIn),
+      static_cast<double>(m.SendStall),
+      static_cast<double>(m.CongestionSignals),
+      static_cast<double>(m.Timeouts),
+      static_cast<double>(m.FastRetran),
+      static_cast<double>(m.OtherReductions),
+      m.CurCwnd,
+      m.MaxCwnd,
+      m.CurSsthresh,
+      static_cast<double>(m.CurRwinRcvd),
+      static_cast<double>(m.SlowStartSegments),
+      static_cast<double>(m.CongAvoidSegments),
+      static_cast<double>(m.SmoothedRTT.milliseconds_count()),
+      static_cast<double>(m.CurRTO.milliseconds_count()),
+      static_cast<double>(m.MinRTT.milliseconds_count()),
   };
+  FlatMib flat;
+  for (std::size_t i = 0; i < flat.size(); ++i) flat[i] = {kVariableNames[i], values[i]};
+  return flat;
 }
 
 std::ostream& operator<<(std::ostream& os, const Mib& mib) {

@@ -1,10 +1,10 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
-#include <string>
+#include <string_view>
 #include <utility>
-#include <vector>
 
 #include "sim/time.hpp"
 
@@ -56,8 +56,19 @@ struct Mib {
   }
 };
 
-/// Names/values flattened for CSV output; order is stable.
-[[nodiscard]] std::vector<std::pair<std::string, double>> flatten(const Mib& mib);
+/// The variables flatten() reports, in its order: the one table behind the
+/// polling agent's series and the stream output.
+inline constexpr std::array<std::string_view, 21> kVariableNames{
+    "PktsOut", "DataBytesOut", "PktsRetrans", "BytesRetrans", "ThruBytesAcked", "AcksIn",
+    "DupAcksIn", "SendStall", "CongestionSignals", "Timeouts", "FastRetran", "OtherReductions",
+    "CurCwnd", "MaxCwnd", "CurSsthresh", "CurRwinRcvd", "SlowStartSegments", "CongAvoidSegments",
+    "SmoothedRTT_ms", "CurRTO_ms", "MinRTT_ms"};
+
+/// (name, value) per kVariableNames entry, in table order. A fixed array,
+/// so a poll allocates nothing.
+using FlatMib = std::array<std::pair<std::string_view, double>, kVariableNames.size()>;
+
+[[nodiscard]] FlatMib flatten(const Mib& mib);
 
 std::ostream& operator<<(std::ostream& os, const Mib& mib);
 

@@ -1,5 +1,7 @@
 #include "web100/polling_agent.hpp"
 
+#include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 
 namespace rss::web100 {
@@ -23,23 +25,21 @@ void PollingAgent::start() {
 }
 
 void PollingAgent::poll() {
-  const auto values = flatten(mib_source_());
-  if (names_.empty()) {
-    names_.reserve(values.size());
-    for (const auto& [name, _] : values) {
-      names_.push_back(name);
-      series_.emplace(name, metrics::TimeSeries{name});
-    }
+  if (series_.empty()) {
+    names_.assign(kVariableNames.begin(), kVariableNames.end());
+    series_.reserve(names_.size());
+    for (const std::string& name : names_) series_.emplace_back(name);
   }
-  for (const auto& [name, value] : values) series_.at(name).record(sim_.now(), value);
+  const FlatMib values = flatten(mib_source_());
+  for (std::size_t i = 0; i < values.size(); ++i) series_[i].record(sim_.now(), values[i].second);
   ++polls_;
 }
 
 const metrics::TimeSeries& PollingAgent::series(const std::string& variable) const {
-  const auto it = series_.find(variable);
-  if (it == series_.end())
+  const auto it = std::find(kVariableNames.begin(), kVariableNames.end(), variable);
+  if (series_.empty() || it == kVariableNames.end())
     throw std::out_of_range("PollingAgent: unknown or never-polled variable: " + variable);
-  return it->second;
+  return series_[static_cast<std::size_t>(it - kVariableNames.begin())];
 }
 
 }  // namespace rss::web100

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "metrics/timeseries.hpp"
@@ -31,8 +30,8 @@ class PollingAgent {
   void start();
   void stop() { running_ = false; }
 
-  /// Series for a variable name from flatten(); throws if never polled or
-  /// unknown.
+  /// Series for a variable name from kVariableNames; throws if never polled
+  /// or unknown.
   [[nodiscard]] const metrics::TimeSeries& series(const std::string& variable) const;
 
   [[nodiscard]] const std::vector<std::string>& variable_names() const { return names_; }
@@ -51,7 +50,9 @@ class PollingAgent {
   std::uint64_t generation_{0};
   std::size_t polls_{0};
   std::vector<std::string> names_;
-  std::unordered_map<std::string, metrics::TimeSeries> series_;
+  /// One per kVariableNames entry, in its order; created by the first poll,
+  /// so a poll only appends a sample to each.
+  std::vector<metrics::TimeSeries> series_;
 };
 
 }  // namespace rss::web100

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -37,6 +38,7 @@
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
 #include "sim/timer.hpp"
+#include "web100/polling_agent.hpp"
 
 namespace rss::sim {
 namespace {
@@ -351,8 +353,55 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(FlowCase{"reno_droptail", false, scenario::QueueDiscipline::kDropTail},
                       FlowCase{"rss_droptail", true, scenario::QueueDiscipline::kDropTail},
                       FlowCase{"reno_red", false, scenario::QueueDiscipline::kRed},
-                      FlowCase{"rss_red", true, scenario::QueueDiscipline::kRed}),
+                      FlowCase{"rss_red", true, scenario::QueueDiscipline::kRed},
+                      FlowCase{"reno_codel", false, scenario::QueueDiscipline::kCodel},
+                      FlowCase{"rss_codel", true, scenario::QueueDiscipline::kCodel}),
     [](const auto& info) { return std::string{info.param.name}; });
+
+/// The same warm flow with Web100 polling on, every 10 ms. Each poll
+/// flattens the MIB into a fixed array and appends one sample to each of
+/// the agent's 21 series, which were resolved at the first poll. A series
+/// still doubles now and then, so the measured window is one in which none
+/// does: it starts once every series has room for 5 s of polls, and their
+/// capacities are checked unchanged at its end. Zero allocations there
+/// means polling allocates nothing else.
+TEST(AllocGuardFlowPolling, WarmWanPathFlowWithPollingIsAllocFree) {
+  scenario::WanPath::Config config;
+  config.path.one_way_delay = 5_ms;
+  config.web100_poll_period = 10_ms;
+  const scenario::TopologySpec spec = scenario::WanPath::make_spec(config);
+  ASSERT_TRUE(spec.flows.at(0).web100);
+  const auto flow = scenario::ScenarioBuilder{spec}.build(scenario::make_reno_factory());
+  flow->start_flow(0, Time::zero());
+  const web100::PollingAgent& agent = *flow->agent(0);
+  const auto room = [&agent] {
+    std::size_t least = SIZE_MAX;
+    for (const auto& name : agent.variable_names()) {
+      const auto& series = agent.series(name);
+      least = std::min(least, series.capacity() - series.size());
+    }
+    return least;
+  };
+  flow->run_until(10_s);  // warm-up: slow start, then several sawtooth cycles
+  while (room() < 501) flow->run_until(flow->simulation().now() + 10_ms);
+  std::vector<std::size_t> capacities;
+  for (const auto& name : agent.variable_names())
+    capacities.push_back(agent.series(name).capacity());
+  const std::size_t warm_polls = agent.polls_taken();
+  const std::uint64_t warm_stalls = flow->sender(0).mib().SendStall;
+
+  std::uint64_t allocations = 0;
+  {
+    const alloc_guard::AllocScope scope;
+    flow->run_until(flow->simulation().now() + 5_s);
+    allocations = scope.allocations();
+  }
+  EXPECT_EQ(allocations, 0u) << "a warm polled flow allocated " << allocations << " times";
+  EXPECT_EQ(agent.polls_taken(), warm_polls + 500);
+  EXPECT_GT(flow->sender(0).mib().SendStall, warm_stalls) << "the flow never stalled";
+  for (std::size_t i = 0; i < capacities.size(); ++i)
+    EXPECT_EQ(agent.series(agent.variable_names()[i]).capacity(), capacities[i]);
+}
 
 /// CoDel's control law sheds head packets at dequeue. With a sender that
 /// outruns the drain, each cycle builds a standing queue, enters the

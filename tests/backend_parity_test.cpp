@@ -7,11 +7,13 @@
 // next_event_time() probes between phases. A second, Timer-heavy script
 // keeps most queued entries in the heap backend's timer heap while packet
 // events come and go in its event heap; the calendar holds both in one queue.
+// A third drives persistent slots the way link wires do.
 
 #include "sim/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -254,6 +256,123 @@ TEST_P(BackendParityTest, TimerHeavyScriptMatchesExactly) {
   // The script has to reach the timer heap: wake-ups fire, and stale ones
   // re-queue, so more events run than packets and timeouts fired.
   EXPECT_GT(heap.executed, heap.fired.size());
+}
+
+/// Link-wire-like owners of persistent slots. Packet events put keys on
+/// random wires; a wire keeps only its earliest key armed in its slot,
+/// re-keys the slot when a new key overtakes it (from another event's
+/// callback, so the fired entry's hole is open), re-arms its next key from
+/// its own firing and now and then drops everything (disarm). cancel() of
+/// a wire's slot fails on both backends.
+RunTrace drive_persistent(QueueBackend backend, const ParityPlan& plan) {
+  constexpr std::size_t kWires = 6;
+  constexpr std::size_t kWireLabel = 1'000'000;
+  Scheduler s{backend};
+  Rng rng{plan.seed};
+  RunTrace trace;
+  std::size_t budget = plan.events;
+  std::size_t next_label = 0;
+  const auto soon = [&] {
+    return Time::nanoseconds(
+        static_cast<std::int64_t>(rng.next_in(0, static_cast<std::uint64_t>(plan.horizon_ns))));
+  };
+  const auto record = [&](std::size_t label) {
+    trace.fired.emplace_back(s.now().nanoseconds_count(), label);
+    if (label % 16 == 0) trace.probes.push_back(s.next_event_time().nanoseconds_count());
+  };
+
+  struct Wire {
+    Scheduler* s{nullptr};
+    const std::function<void(std::size_t)>* on_delivery{nullptr};
+    EventId slot;
+    std::vector<std::pair<EventEntry, std::size_t>> keys;  // (key, label), key order
+    void arm_head() {
+      if (keys.empty()) {
+        s->disarm_persistent(slot);
+        return;
+      }
+      const EventEntry& key = keys.front().first;
+      s->arm_persistent(slot, key.origin, key.seq, key.birth, key.at);
+    }
+    void push(const EventEntry& key, std::size_t label) {
+      auto it = keys.begin();
+      while (it != keys.end() && !event_entry_before(key, it->first)) ++it;
+      const bool head = it == keys.begin();
+      keys.insert(it, {key, label});
+      if (head) arm_head();
+    }
+    static void fire(void* self) {
+      auto* wire = static_cast<Wire*>(self);
+      const std::size_t label = wire->keys.front().second;
+      wire->keys.erase(wire->keys.begin());
+      wire->arm_head();
+      (*wire->on_delivery)(label);
+    }
+  };
+  std::vector<Wire> wires(kWires);
+
+  std::function<void(std::size_t)> packet;
+  const auto send = [&] {
+    if (budget == 0) return;
+    --budget;
+    const std::size_t label = next_label++;
+    if (rng.next_bool(0.5)) {
+      // A delivery: tagged or untagged, born now or in the past.
+      Wire& wire = wires[rng.next_in(0, kWires - 1)];
+      const auto origin = static_cast<std::uint32_t>(rng.next_in(0, 2));
+      const Time birth = rng.next_bool(0.5) ? s.now() : s.now() - std::min(s.now(), soon());
+      wire.push(EventEntry{s.now() + soon(), birth, s.draw_rank(origin), 0, origin}, label);
+    } else {
+      s.schedule_in(soon(), [&packet, label] { packet(label); });
+    }
+  };
+  packet = [&](std::size_t label) {
+    record(label);
+    send();
+    if (rng.next_bool(0.4)) send();
+    Wire& wire = wires[rng.next_in(0, kWires - 1)];
+    if (rng.next_bool(0.05)) {
+      wire.keys.clear();
+      wire.arm_head();
+    }
+    if (rng.next_bool(0.05)) trace.cancel_results.push_back(s.cancel(wire.slot));
+  };
+  const std::function<void(std::size_t)> on_delivery = [&](std::size_t label) {
+    record(kWireLabel + label);
+    send();
+  };
+  for (std::size_t i = 0; i < kWires; ++i) {
+    wires[i].s = &s;
+    wires[i].on_delivery = &on_delivery;
+    wires[i].slot = s.add_persistent(&Wire::fire, &wires[i]);
+  }
+  for (int i = 0; i < 8; ++i) send();
+
+  s.run_until(Time::nanoseconds(plan.horizon_ns * 4));
+  trace.probes.push_back(s.next_event_time().nanoseconds_count());
+  s.run();
+  trace.final_now = s.now().nanoseconds_count();
+  trace.executed = s.events_executed();
+  trace.pending = s.pending();
+  return trace;
+}
+
+TEST_P(BackendParityTest, PersistentSlotScriptMatchesExactly) {
+  const auto heap = drive_persistent(QueueBackend::kBinaryHeap, GetParam());
+  const auto cal = drive_persistent(QueueBackend::kCalendarQueue, GetParam());
+
+  ASSERT_EQ(heap.fired.size(), cal.fired.size());
+  for (std::size_t i = 0; i < heap.fired.size(); ++i) {
+    ASSERT_EQ(heap.fired[i], cal.fired[i]) << "firing " << i;
+  }
+  EXPECT_EQ(heap.cancel_results, cal.cancel_results);
+  for (const bool cancelled : heap.cancel_results) EXPECT_FALSE(cancelled);
+  EXPECT_EQ(heap.probes, cal.probes);
+  EXPECT_EQ(heap.final_now, cal.final_now);
+  EXPECT_EQ(heap.executed, cal.executed);
+  EXPECT_EQ(heap.executed, heap.fired.size());
+  EXPECT_EQ(heap.pending, 0u);
+  EXPECT_EQ(cal.pending, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/calendar_queue.hpp"
@@ -257,14 +258,21 @@ INSTANTIATE_TEST_SUITE_P(
 // (its occurrence is then off the queue, so the cancel must not disturb any
 // queued entry). A callback may also push a tagged event at its own
 // (at, birth), which sorts before the key being fired: the heap's fused pop
-// must let it take the root. Between steps the queue must hold exactly the
-// live events; inside a callback, with the fired entry's hole in either
-// heap, queued_entries() and next_event_time() must describe the live
-// events other than the one firing.
+// must let it take the root. Persistent slots are armed, re-keyed and
+// disarmed from the script and from callbacks (with the fired entry's hole
+// open), re-armed from their own firing, and cancel() must refuse them.
+// Between steps the queue must hold exactly the live events; inside a
+// callback, with the fired entry's hole in either heap, queued_entries()
+// and next_event_time() must describe the live events other than the one
+// firing.
 class LockstepModel {
  public:
   LockstepModel(QueueBackend backend, std::uint64_t seed) : s_{backend}, rng_{seed} {
     s_.reserve_origins(kOrigins);
+    for (std::size_t i = 0; i < kPersistentSlots; ++i) {
+      persistent_[i].model = this;
+      persistent_[i].id = s_.add_persistent(&PersistentSlot::fire, &persistent_[i]);
+    }
   }
 
   /// Labels in firing order.
@@ -296,12 +304,26 @@ class LockstepModel {
     }
   };
 
+  /// A persistent slot; `label` names its armed key's firing.
+  struct PersistentSlot {
+    LockstepModel* model{nullptr};
+    EventId id;
+    std::uint32_t label{0};
+    static void fire(void* self) {
+      const auto* slot = static_cast<PersistentSlot*>(self);
+      slot->model->on_fire(slot->label);
+    }
+  };
+  static constexpr std::size_t kPersistentSlots = 3;
+  static constexpr std::size_t kNotPersistent = kPersistentSlots;
+
   struct Live {
     EventEntry key;  // `slot` holds the event's label
     EventId id;      // invalid for a timer wake-up: the timer owns it
     Time stride;
     std::uint64_t remaining;
     TimerEvent* timer{nullptr};
+    std::size_t persistent{kNotPersistent};
   };
 
   static bool ok() { return !::testing::Test::HasFailure(); }
@@ -357,8 +379,52 @@ class LockstepModel {
     live_.push_back(live);
   }
 
+  /// Live entry of persistent slot `i`, or live_.end() when disarmed.
+  std::vector<Live>::iterator persistent_live(std::size_t i) {
+    return std::find_if(live_.begin(), live_.end(),
+                        [i](const Live& live) { return live.persistent == i; });
+  }
+
+  /// Arm (or re-key) persistent slot `i` at a fresh key: any origin, born
+  /// now or earlier, with a rank drawn up front as a link wire does.
+  void arm_persistent(std::size_t i, Time at) {
+    PersistentSlot& slot = persistent_[i];
+    slot.label = next_label_++;
+    const auto origin = static_cast<std::uint32_t>(rng_.next_in(0, kOrigins - 1));
+    const std::uint64_t rank = s_.draw_rank(origin);
+    EXPECT_EQ(rank, next_rank_[origin]++);
+    const Time birth = Time::nanoseconds(static_cast<std::int64_t>(
+        rng_.next_in(0, static_cast<std::uint64_t>(s_.now().nanoseconds_count()))));
+    Live live{EventEntry{at, birth, rank, slot.label, origin}, slot.id, Time::zero(), 1};
+    live.persistent = i;
+    s_.arm_persistent(slot.id, origin, rank, birth, at);
+    if (const auto it = persistent_live(i); it != live_.end()) {
+      *it = live;
+    } else {
+      live_.push_back(live);
+    }
+  }
+
+  void persistent_op() {
+    const std::size_t i = rng_.next_in(0, kPersistentSlots - 1);
+    const std::size_t pending = s_.pending();
+    EXPECT_FALSE(s_.cancel(persistent_[i].id));
+    EXPECT_EQ(s_.pending(), pending);
+    const auto it = persistent_live(i);
+    if (it != live_.end() && rng_.next_bool(0.4)) {
+      s_.disarm_persistent(persistent_[i].id);
+      *it = live_.back();
+      live_.pop_back();
+    } else {
+      arm_persistent(i, near_future());
+    }
+  }
+
   void cancel_live(std::size_t index) {
-    if (live_[index].timer != nullptr) {
+    if (live_[index].persistent != kNotPersistent) {
+      EXPECT_FALSE(s_.cancel(live_[index].id));
+      s_.disarm_persistent(live_[index].id);
+    } else if (live_[index].timer != nullptr) {
       // Destroying a timer cancels its queued wake-up.
       const std::size_t pending = s_.pending();
       live_[index].timer->timer.reset();
@@ -379,8 +445,10 @@ class LockstepModel {
   std::uint64_t future_kind() { return kFutureKinds[rng_.next_in(0, kFutureKinds.size() - 1)]; }
 
   void random_op() {
-    const auto op = rng_.next_in(0, 7);
-    if (op <= 4) {
+    const auto op = rng_.next_in(0, 8);
+    if (op == 8) {
+      persistent_op();
+    } else if (op <= 4) {
       schedule(future_kind(), near_future());
     } else if (op == 5 && !live_.empty()) {
       cancel_live(rng_.next_in(0, live_.size() - 1));  // usually mid-queue
@@ -417,7 +485,8 @@ class LockstepModel {
       next.key.seq = next_rank_[0]++;
       --next.remaining;
       live_.push_back(next);
-    } else if (!in_flight_cancelled_ && in_flight_.timer == nullptr) {
+    } else if (!in_flight_cancelled_ && in_flight_.timer == nullptr &&
+               in_flight_.persistent == kNotPersistent) {
       dead_.push_back(in_flight_.id);
     }
     EXPECT_EQ(s_.pending(), live_.size());
@@ -430,6 +499,11 @@ class LockstepModel {
     EXPECT_EQ(s_.now(), in_flight_.key.at);
     check_inside_callback();
     if (rng_.next_bool(0.1)) schedule(4, s_.now());
+    if (in_flight_.persistent != kNotPersistent && rng_.next_bool(0.5)) {
+      // Re-armed from its own firing: the push fills the fired entry's hole.
+      arm_persistent(in_flight_.persistent, near_future());
+    }
+    if (rng_.next_bool(0.1)) persistent_op();
     if (rng_.next_bool(0.3)) schedule(future_kind(), near_future());
     if (rng_.next_bool(0.2) && !live_.empty()) cancel_live(rng_.next_in(0, live_.size() - 1));
     if (rng_.next_bool(0.05)) cancel_stale();
@@ -466,6 +540,7 @@ class LockstepModel {
   std::vector<std::uint64_t> next_rank_ = std::vector<std::uint64_t>(kOrigins, 1);
   std::vector<std::uint32_t> fired_;
   std::vector<std::unique_ptr<TimerEvent>> timers_;
+  std::array<PersistentSlot, kPersistentSlots> persistent_{};
   Live in_flight_{};
   bool in_flight_cancelled_{false};
   std::uint32_t next_label_{0};
@@ -511,6 +586,60 @@ TEST(TwoHeapTest, WakeUpInTheFiredSlotSurvivesTheHoleClose) {
   EXPECT_EQ(later_fired, 1);
   EXPECT_EQ(timer_fired, 0);
   EXPECT_EQ(s.events_executed(), 2u);
+}
+
+// A persistent slot keeps its arena slot and its id across firings, counts
+// as one pending event while armed, and only its owner can take it off the
+// queue: cancel() refuses it, disarm_persistent() removes it.
+TEST(PersistentSlotTest, ArmRearmDisarmAndCancelRefused) {
+  using namespace rss::sim::literals;
+  for (const auto backend : {QueueBackend::kBinaryHeap, QueueBackend::kCalendarQueue}) {
+    Scheduler s{backend};
+    struct Owner {
+      Scheduler* s;
+      EventId id;
+      std::vector<Time> fired;
+      static void fire(void* self) {
+        auto* owner = static_cast<Owner*>(self);
+        owner->fired.push_back(owner->s->now());
+        // Re-armed from its own firing, until 3 ms.
+        if (owner->s->now() < 3_ms) {
+          owner->s->arm_persistent(owner->id, 1, owner->s->draw_rank(1), owner->s->now(),
+                                   owner->s->now() + 1_ms);
+        }
+      }
+    };
+    Owner owner{&s, {}, {}};
+    owner.id = s.add_persistent(&Owner::fire, &owner);
+    EXPECT_EQ(s.pending(), 0u);
+    s.arm_persistent(owner.id, 1, s.draw_rank(1), Time::zero(), 5_ms);
+    s.arm_persistent(owner.id, 1, s.draw_rank(1), Time::zero(), 1_ms);  // re-key earlier
+    EXPECT_EQ(s.pending(), 1u);
+    EXPECT_EQ(s.queued_entries(), 1u);
+    EXPECT_EQ(s.next_event_time(), 1_ms);
+    EXPECT_FALSE(s.cancel(owner.id));
+    EXPECT_EQ(s.pending(), 1u);
+    const std::size_t slots = s.arena_slots();
+    s.run();
+    EXPECT_EQ(owner.fired, (std::vector<Time>{1_ms, 2_ms, 3_ms}));
+    EXPECT_EQ(s.arena_slots(), slots);
+    EXPECT_TRUE(s.empty());
+
+    s.arm_persistent(owner.id, 1, s.draw_rank(1), s.now(), s.now() + 1_ms);
+    s.disarm_persistent(owner.id);
+    s.disarm_persistent(owner.id);  // a no-op when disarmed
+    EXPECT_TRUE(s.empty());
+    EXPECT_EQ(s.queued_entries(), 0u);
+    s.run();
+    EXPECT_EQ(owner.fired.size(), 3u);
+
+    const EventId one_shot = s.schedule_in(1_ms, [] {});
+    EXPECT_THROW(s.arm_persistent(one_shot, 1, s.draw_rank(1), s.now(), s.now() + 1_ms),
+                 std::invalid_argument);
+    EXPECT_THROW(s.arm_persistent(owner.id, 1, s.draw_rank(1), s.now(), s.now() - 1_ms),
+                 std::invalid_argument);
+    EXPECT_THROW((void)s.add_persistent(nullptr, nullptr), std::invalid_argument);
+  }
 }
 
 TEST(CalendarQueueTest, ResizesUnderLoad) {
