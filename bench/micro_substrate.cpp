@@ -1,8 +1,8 @@
 // MICRO — microbenchmarks of the simulation substrate: event-scheduler
-// throughput on both queue backends, batched event trains, queue
-// operations, PID controller updates and a full end-to-end simulation
-// (events per wall-second). These bound how large a parameter sweep the
-// harness can afford, and they are where backend decisions (see
+// throughput on both queue backends, queue operations, PID controller
+// updates and a full end-to-end simulation (events per wall-second). These
+// bound how large a parameter sweep the harness can afford, and they are
+// where backend decisions (see
 // docs/architecture.md "Choosing a QueueBackend") get their numbers.
 //
 // Two entry points:
@@ -82,27 +82,6 @@ void BM_SchedulerCancelHeavy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_SchedulerCancelHeavy)->Arg(0)->Arg(1)->ArgName("calendar");
-
-void BM_SchedulerTrain(benchmark::State& state) {
-  // Batched serialization bursts: one train of `n` firings versus the `n`
-  // chained one-shots it replaces (see BM_SchedulerScheduleRun for the
-  // unbatched cost of the same event count).
-  const auto n = static_cast<std::uint64_t>(state.range(0));
-  const auto backend = backend_arg(state.range(1));
-  for (auto _ : state) {
-    sim::Scheduler s{backend};
-    std::uint64_t fired = 0;
-    s.schedule_train(sim::Time::nanoseconds(1), sim::Time::nanoseconds(120), n,
-                     [&fired] { ++fired; });
-    s.run();
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_SchedulerTrain)
-    ->ArgsProduct({{1000, 100000}, {0, 1}})
-    ->ArgNames({"n", "calendar"});
 
 void BM_DropTailQueueEnqueueDequeue(benchmark::State& state) {
   net::DropTailQueue q{1024};
@@ -351,21 +330,41 @@ SmokeResult smoke_spec_sweep(double budget_seconds) {
   return r;
 }
 
+/// A persistent slot that fires 32 times, re-arming itself 120 ns after
+/// each firing: a NIC serializing a burst of back-to-back packets.
+struct BurstOwner {
+  static constexpr int kFirings = 32;
+  sim::Scheduler* s{nullptr};
+  sim::EventId slot;
+  int left{0};
+
+  static void fire(void* self) {
+    auto* owner = static_cast<BurstOwner*>(self);
+    if (--owner->left == 0) return;
+    sim::Scheduler& s = *owner->s;
+    s.arm_persistent(owner->slot, 0, s.draw_rank(0), s.now(),
+                     s.now() + sim::Time::nanoseconds(120));
+  }
+};
+
 /// Pure scheduler churn: the schedule/cancel/reschedule storm of the
-/// per-ACK RTO path, plus trains, with no protocol work diluting it.
+/// per-ACK RTO path, plus 313 self-re-arming bursts of 32 firings, with no
+/// protocol work diluting it: 10,017 events per loop.
 SmokeResult smoke_churn(sim::QueueBackend backend, double budget_seconds) {
   SmokeResult r;
+  std::vector<BurstOwner> bursts(20'000 / 64 + 1);
   const auto t0 = std::chrono::steady_clock::now();
   while (r.seconds < budget_seconds) {
     sim::Scheduler s{backend};
     sim::EventId rto{};
-    std::uint64_t fired = 0;
     for (int i = 0; i < 20'000; ++i) {
       if (rto.valid()) s.cancel(rto);
       rto = s.schedule_at(sim::Time::nanoseconds(i * 7 + 1), [] {});
       if (i % 64 == 0) {
-        s.schedule_train(sim::Time::nanoseconds(i * 7 + 2), sim::Time::nanoseconds(120), 32,
-                         [&fired] { ++fired; });
+        BurstOwner& burst = bursts[static_cast<std::size_t>(i / 64)];
+        burst = BurstOwner{&s, s.add_persistent(&BurstOwner::fire, &burst), BurstOwner::kFirings};
+        s.arm_persistent(burst.slot, 0, s.draw_rank(0), s.now(),
+                         sim::Time::nanoseconds(i * 7 + 2));
       }
     }
     s.run();

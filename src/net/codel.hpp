@@ -24,15 +24,11 @@ namespace rss::net {
 /// ECN: when the control law elects a packet and that packet is ECT, it
 /// is CE-marked and delivered instead of dropped (RFC 8289 §4.1).
 ///
-/// Two deliberate deviations, both for the owning NetDevice's contract:
-///  - equal_size_run() is NOT overridden (a run of one): head drops at
-///    dequeue may shorten the queue mid-burst, so batched serialization
-///    trains would overrun. The conservative default keeps the device
-///    correct, just train-less.
-///  - the last remaining packet is never dropped at dequeue — a non-empty
-///    queue always yields a packet, which the device's transmit path
-///    relies on. CoDel's own "queue below one MTU exits the dropping
-///    state" rule makes this nearly a no-op in practice.
+/// One deliberate deviation, for the owning NetDevice's contract: the last
+/// remaining packet is never dropped at dequeue — a non-empty queue always
+/// yields a packet, which the device's transmit path relies on. CoDel's own
+/// "queue below one MTU exits the dropping state" rule makes this nearly a
+/// no-op in practice.
 ///
 /// The fluid virtual backlog counts toward admission capacity (like the
 /// other disciplines) but not toward sojourn — fluid bytes carry no

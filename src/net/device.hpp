@@ -37,9 +37,11 @@ struct DeviceStats {
 /// rejects it — the Linux `NET_XMIT_CN` "send-stall" — and notifies the
 /// stall observer so TCP can react (and Web100 can count it).
 ///
-/// Completions are scheduled: a serialization train per equal-size head
-/// run. A device that is a FIFO server nobody else draws ranks for can
-/// instead apply its departures lazily (depart_lazily(), which
+/// Completions are scheduled: the device's persistent scheduler slot is
+/// armed at the packet in service's completion and re-armed after each
+/// one, at (now + the next packet's serialization time, birth now, default
+/// stream, draw_rank(0)). A device that is a FIFO server nobody else draws
+/// ranks for can instead apply its departures lazily (depart_lazily(), which
 /// ScenarioBuilder calls for the NIC of a single-NIC host whose IFQ is
 /// drop-tail or RED and whose link is lossless, jitter-free and within one
 /// partition). Its packet in service departs at done = start + tx, and the
@@ -47,7 +49,7 @@ struct DeviceStats {
 /// event is needed: catch_up() applies every departure whose key, (done,
 /// start) on the default stream, comes before the scheduler's frontier —
 /// tx stats, dequeue of the next packet, and the packet onto the wire keyed
-/// at `done`, its rank drawn in FIFO order, as the train firing would have.
+/// at `done`, its rank drawn in FIFO order, as the completion would have.
 /// Everything that reads or changes the device catches up first (send, the
 /// accessors below), and so does the outgoing wire before it delivers.
 /// Anything that breaks the conditions puts the device back on scheduled
@@ -118,8 +120,8 @@ class NetDevice {
 
   /// Fraction of line rate consumed by a fluid aggregate sharing this
   /// device (0 = all-packet). While nonzero, packet serialization slots are
-  /// stretched to rate·(1 − share) and event trains are disabled so the
-  /// share can change between any two completions.
+  /// stretched to rate·(1 − share), each by the share when it starts; the
+  /// share may change between any two completions.
   void set_fluid_share(double share);
   [[nodiscard]] double fluid_share() const { return fluid_share_; }
 
@@ -143,8 +145,7 @@ class NetDevice {
   /// it. The IFQ must not decide at dequeue (drop-tail or RED, not CoDel).
   void depart_lazily();
   /// Back to scheduled completions: catch up, then arm the packet in
-  /// service at its train firing's key (done, start) and the rest of its
-  /// train behind it. A no-op unless lazy.
+  /// service at its completion's key (done, start). A no-op unless lazy.
   void schedule_departures();
   [[nodiscard]] bool departs_lazily() const { return lazy_; }
   /// Apply the departures that come before the scheduler's frontier. The
@@ -161,16 +162,10 @@ class NetDevice {
   }
 
  private:
-  /// Longest serialization train armed in one go. Bounds how far ahead the
-  /// IFQ head run is inspected; runs longer than this simply chain trains.
-  static constexpr std::size_t kMaxTxTrain = 64;
-
+  static void fire(void* device) { static_cast<NetDevice*>(device)->complete_tx(); }
   void try_start_tx();
   void complete_tx();
   void apply_departures();
-  /// The first completion after schedule_departures(): completes the packet
-  /// in service, then arms the rest of its train.
-  void resume_train();
 
   sim::Simulation& sim_;
   DataRate rate_;
@@ -180,13 +175,10 @@ class NetDevice {
   ReceiveCallback rx_cb_;
   StallCallback stall_cb_;
   DeviceStats stats_;
-  /// The packet currently on the wire. Held here (not in the scheduled
-  /// closure) so the serialization callback captures only `this` and stays
-  /// within the scheduler's inline-callback budget.
+  /// The packet currently being serialized.
   Packet serializing_{};
-  /// Completions left in the current serialization train (0 when idle),
-  /// counted down by catch_up() too while the train is not armed.
-  std::uint64_t train_left_{0};
+  /// Persistent; armed while a scheduled completion is due.
+  sim::EventId slot_;
   /// Lazy only: when the packet in service started and departs.
   sim::Time start_{};
   sim::Time done_{};

@@ -5,19 +5,6 @@
 
 namespace rss::net {
 
-namespace {
-
-/// Shared by the FIFO queues: length of the equal-size head run.
-std::size_t head_run_of_equal_sizes(const sim::Ring<Packet>& queue, std::size_t max_run) {
-  if (queue.empty() || max_run == 0) return 0;
-  const std::uint32_t head_size = queue.front().size_bytes();
-  std::size_t run = 1;
-  while (run < max_run && run < queue.size() && queue[run].size_bytes() == head_size) ++run;
-  return run;
-}
-
-}  // namespace
-
 DropTailQueue::DropTailQueue(std::size_t capacity_packets) : capacity_{capacity_packets} {
   if (capacity_packets == 0) throw std::invalid_argument("DropTailQueue: zero capacity");
 }
@@ -45,10 +32,6 @@ std::optional<Packet> DropTailQueue::dequeue() {
   bytes_ -= p.size_bytes();
   ++stats_.dequeued;
   return p;
-}
-
-std::size_t DropTailQueue::equal_size_run(std::size_t max_run) const {
-  return head_run_of_equal_sizes(queue_, max_run);
 }
 
 RedQueue::RedQueue(Options opt, sim::Rng rng) : opt_{opt}, rng_{rng} {
@@ -130,10 +113,6 @@ std::optional<Packet> RedQueue::dequeue() {
   bytes_ -= p.size_bytes();
   ++stats_.dequeued;
   return p;
-}
-
-std::size_t RedQueue::equal_size_run(std::size_t max_run) const {
-  return head_run_of_equal_sizes(queue_, max_run);
 }
 
 }  // namespace rss::net

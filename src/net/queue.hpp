@@ -43,17 +43,6 @@ class PacketQueue {
   [[nodiscard]] virtual std::size_t capacity_packets() const = 0;
   [[nodiscard]] virtual bool empty() const { return size_packets() == 0; }
 
-  /// Number of consecutive head packets sharing the head packet's on-wire
-  /// size, capped at `max_run` (0 when empty). NetDevice uses this to arm
-  /// one batched serialization train for the whole equal-size burst instead
-  /// of scheduling each completion individually. Purely a read — drop/ECN
-  /// policy is untouched, and packets still leave via dequeue() one
-  /// serialization slot apart. The conservative default (a run of one)
-  /// keeps any third-party queue correct, just train-less.
-  [[nodiscard]] virtual std::size_t equal_size_run(std::size_t max_run) const {
-    return (empty() || max_run == 0) ? 0 : 1;
-  }
-
   [[nodiscard]] const QueueStats& stats() const { return stats_; }
 
   /// Occupancy as a fraction of packet capacity — the PID process variable.
@@ -121,7 +110,6 @@ class DropTailQueue final : public PacketQueue {
   [[nodiscard]] std::size_t size_packets() const override { return queue_.size(); }
   [[nodiscard]] std::size_t size_bytes() const override { return bytes_; }
   [[nodiscard]] std::size_t capacity_packets() const override { return capacity_; }
-  [[nodiscard]] std::size_t equal_size_run(std::size_t max_run) const override;
 
  private:
   std::size_t capacity_;
@@ -151,7 +139,6 @@ class RedQueue final : public PacketQueue {
   [[nodiscard]] std::size_t size_packets() const override { return queue_.size(); }
   [[nodiscard]] std::size_t size_bytes() const override { return bytes_; }
   [[nodiscard]] std::size_t capacity_packets() const override { return opt_.capacity_packets; }
-  [[nodiscard]] std::size_t equal_size_run(std::size_t max_run) const override;
 
   [[nodiscard]] double average_occupancy() const { return avg_; }
   [[nodiscard]] std::uint64_t early_drops() const { return early_drops_; }

@@ -25,8 +25,9 @@ concept InlineCallbackInvocable =
     std::is_invocable_r_v<void, std::remove_cvref_t<F>&>;
 
 /// Whether a callable fits the inline buffer. Nothrow move construction is
-/// required because the scheduler relocates callbacks (arena growth, train
-/// continuation) at points where an exception would corrupt the event queue.
+/// required because the scheduler relocates callbacks (arena growth, and out
+/// of the arena before a callback runs) at points where an exception would
+/// corrupt the event queue.
 template <typename F>
 concept InlineCallbackStorable =
     sizeof(std::remove_cvref_t<F>) <= kInlineCallbackCapacity &&
@@ -39,9 +40,9 @@ concept InlineCallbackStorable =
 /// fallback: a capture larger than kInlineCallbackCapacity (or over-aligned,
 /// or throwing-move) is rejected at compile time via the deleted overload
 /// below, so `Scheduler::schedule_at` can never allocate for the callback.
-/// This is the per-event constant factor the ROADMAP's "Scheduler hot path"
-/// item targets — std::function allocated on every packet serialization and
-/// every per-ACK RTO reschedule.
+/// std::function allocated on every event it held. The per-packet and
+/// per-ACK owners (NICs, link wires, sim::Timer) hold no callback at all:
+/// they re-arm persistent scheduler slots.
 class InlineCallback {
  public:
   static constexpr std::size_t kCapacity = kInlineCallbackCapacity;

@@ -80,10 +80,11 @@ inline constexpr std::size_t kHandoffPayloadCapacity = 96;
 /// `staged_at` is the source partition's clock when the handoff was staged;
 /// `origin`/`rank` are the sending node's label and the insertion rank
 /// drawn from the *source* scheduler's origin counter at stage time.
-/// Implementations should forward all three when scheduling into the
-/// destination (Simulation::at_imported), so same-timestamp ties resolve
-/// exactly as a single-scheduler run would — the (birth, origin, rank)
-/// tie-break key is intrinsic to the sender, not to insertion order.
+/// Implementations should keep all three in the key they arm on the
+/// destination (a link's wire puts the packet into its ring at that key and
+/// arms its persistent slot for the ring's head), so same-timestamp ties
+/// resolve exactly as a single-scheduler run would — the (birth, origin,
+/// rank) tie-break key is intrinsic to the sender, not to insertion order.
 using HandoffDeliverFn = void (*)(void* endpoint, const std::byte* payload, Time deliver_at,
                                   Time staged_at, std::uint32_t origin, std::uint64_t rank);
 
@@ -170,8 +171,8 @@ class alignas(64) HandoffChannel {
 ///      endpoint (a link's wire), channel by channel, unsorted. The wire
 ///      keeps its packets sorted by the scheduler key each is armed with:
 ///      staged_at as the birth time and the staged (origin, rank) pair as
-///      the intrinsic tie-break (Scheduler::schedule_at_imported). That key
-///      is the sender's, so same-timestamp pop order matches the
+///      the intrinsic tie-break (Scheduler::arm_persistent). That key is
+///      the sender's, so same-timestamp pop order matches the
 ///      single-scheduler run exactly whatever order the drain inserts in,
 ///      and runs are deterministic regardless of thread count or timing.
 ///

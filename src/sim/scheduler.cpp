@@ -6,48 +6,16 @@
 
 namespace rss::sim {
 
-EventId Scheduler::schedule_train(Time start, Time stride, std::uint64_t count,
-                                  Callback cb) {
-  if (count == 0) return EventId{};
-  if (stride.is_negative())
-    throw std::invalid_argument("Scheduler: negative train stride");
-  if (count > 1) {
-    if (start.is_infinite() || stride.is_infinite())
-      throw std::invalid_argument("Scheduler: multi-event train at/with infinity");
-    // The continuation in step() computes at + stride per firing; reject
-    // trains whose last firing would overflow the int64 nanosecond clock
-    // (which would silently run the heap backend's clock backwards).
-    const auto start_ns = static_cast<std::uint64_t>(start.nanoseconds_count());
-    const auto stride_ns = static_cast<std::uint64_t>(stride.nanoseconds_count());
-    const auto headroom =
-        static_cast<std::uint64_t>(Time::infinity().nanoseconds_count()) - start_ns;
-    if (stride_ns != 0 && count - 1 > headroom / stride_ns)
-      throw std::invalid_argument("Scheduler: train extends beyond representable time");
-  }
-  return arm(start, stride, count, std::move(cb), now_, 0);
-}
-
-EventId Scheduler::arm(Time at, Time stride, std::uint64_t count, Callback cb, Time birth,
-                       std::uint32_t origin) {
-  return arm_with_rank(at, stride, count, std::move(cb), birth, origin, draw_rank(origin),
-                       false);
-}
-
-EventId Scheduler::arm_with_rank(Time at, Time stride, std::uint64_t count, Callback cb,
-                                 Time birth, std::uint32_t origin, std::uint64_t rank,
-                                 bool timer) {
+EventId Scheduler::schedule_at(Time at, Callback cb) {
   if (at < now_) throw std::invalid_argument("Scheduler: event scheduled in the past");
-  if (birth > at) throw std::invalid_argument("Scheduler: event born after its own fire time");
   if (!cb) throw std::invalid_argument("Scheduler: null callback");
   const std::uint32_t index = acquire_slot();
   Slot& slot = slots_[index];
   slot.cb = std::move(cb);
-  slot.train = Train{stride, count};
-  slot.origin = origin;
   slot.armed = true;
-  slot.timer = timer;
+  slot.timer = false;
   ++live_;
-  push_entry(EventEntry{at, birth, rank, index, origin}, timer);
+  push_entry(EventEntry{at, now_, draw_rank(0), index, 0}, false);
   return EventId{index, slot.gen};
 }
 
@@ -66,14 +34,13 @@ std::uint32_t Scheduler::acquire_slot() {
 void Scheduler::release_slot(std::uint32_t index) {
   Slot& slot = slots_[index];
   slot.cb = Callback{};
+  slot.handler = Handler{};
   slot.armed = false;
-  slot.train.remaining = 0;
   // Bump the generation so stale EventIds referencing this slot can never
   // match again. Generation 0 is reserved: EventId{slot 0, gen 0} would
   // collide with the inert default id.
   if (++slot.gen == 0) slot.gen = 1;
   free_slots_.push_back(index);
-  --live_;
 }
 
 void Scheduler::push_entry(const EventEntry& entry, bool timer) {
@@ -155,27 +122,24 @@ bool Scheduler::cancel(EventId id) {
   const std::uint32_t index = id.slot();
   if (index >= slots_.size()) return false;
   Slot& slot = slots_[index];
-  if (!slot.armed || slot.gen != id.gen() || slot.persistent) return false;
-  // The removal may find nothing when a train's current occurrence is
-  // mid-flight (popped, callback executing): releasing the slot below is
-  // what stops the train from re-enqueueing.
+  if (!slot.armed || slot.gen != id.gen() || slot.persistent()) return false;
   unqueue(index);
+  --live_;
   release_slot(index);
   return true;
 }
 
-EventId Scheduler::add_persistent(PersistentFn fn, void* context) {
+EventId Scheduler::add_slot(PersistentFn fn, void* context, bool timer) {
   if (fn == nullptr) throw std::invalid_argument("Scheduler: null persistent handler");
   const std::uint32_t index = acquire_slot();
   Slot& slot = slots_[index];
-  slot.persistent = true;
-  slot.timer = false;
+  slot.timer = timer;
   slot.handler = Handler{fn, context};
   return EventId{index, slot.gen};
 }
 
 Scheduler::Slot& Scheduler::persistent_slot(EventId id) {
-  if (id.slot() >= slots_.size() || !slots_[id.slot()].persistent ||
+  if (id.slot() >= slots_.size() || !slots_[id.slot()].persistent() ||
       slots_[id.slot()].gen != id.gen())
     throw std::invalid_argument("Scheduler: not a persistent slot");
   return slots_[id.slot()];
@@ -188,9 +152,10 @@ void Scheduler::arm_persistent(EventId id, std::uint32_t origin, std::uint64_t r
   if (birth > at) throw std::invalid_argument("Scheduler: event born after its own fire time");
   const EventEntry entry{at, birth, rank, id.slot(), origin};
   if (slot.armed) {
+    const Heap& heap = slot.timer ? timer_heap_ : event_heap_;
     const EventEntry& queued = backend_ == QueueBackend::kCalendarQueue
                                    ? calendar_keys_[id.slot()]
-                                   : event_heap_[heap_pos_[id.slot()]];
+                                   : heap[heap_pos_[id.slot()]];
     if (queued.at == at && queued.birth == birth && queued.seq == rank && queued.origin == origin)
       return;
     // Re-key: erase, then push. While a hole is open every entry of its
@@ -201,7 +166,7 @@ void Scheduler::arm_persistent(EventId id, std::uint32_t origin, std::uint64_t r
     slot.armed = true;
     ++live_;
   }
-  push_entry(entry, false);
+  push_entry(entry, slot.timer);
 }
 
 void Scheduler::disarm_persistent(EventId id) {
@@ -210,6 +175,11 @@ void Scheduler::disarm_persistent(EventId id) {
   unqueue(id.slot());
   slot.armed = false;
   --live_;
+}
+
+void Scheduler::remove_persistent(EventId id) {
+  disarm_persistent(id);
+  release_slot(id.slot());
 }
 
 Time Scheduler::next_event_time() const {
@@ -263,46 +233,23 @@ bool Scheduler::step() {
   frontier_ = entry;
   ++executed_;
   Slot& fired = slots_[entry.slot];
-  if (fired.persistent) {
+  --live_;
+  if (fired.persistent()) {
     // Called in place: the handler is two words, copied out first, so the
     // arena may grow under it.
     fired.armed = false;
-    --live_;
     const Handler handler = fired.handler;
     handler.fn(handler.context);
     return true;
   }
   // Move the callback out of the arena before invoking it: the callback may
   // schedule (growing slots_ and relocating every Slot) or cancel, and must
-  // never execute out of storage that can move underneath it.
+  // never execute out of storage that can move underneath it. Freed before
+  // the callback runs, so cancel(own id) from inside it reports false — the
+  // event is no longer pending.
   Callback cb = std::move(fired.cb);
-  if (fired.train.remaining <= 1) {
-    // Freed before the callback runs, so cancel(own id) from inside the
-    // final firing reports false — the event is no longer pending.
-    release_slot(entry.slot);
-    cb();
-    return true;
-  }
-  --fired.train.remaining;
-  const EventId train{entry.slot, fired.gen};
-  try {
-    cb();
-  } catch (...) {
-    // A train whose callback threw ends there: no next firing is queued,
-    // so it must not stay pending (a no-op if the callback cancelled it).
-    (void)cancel(train);
-    throw;
-  }
-  // Continue the train unless the callback cancelled it (generation
-  // mismatch). The fresh rank drawn here matches the chained-schedule
-  // pattern trains replace, which also sequenced each next event at the
-  // previous firing (birth = now) — so pop order is byte-identical.
-  Slot& slot = slots_[entry.slot];
-  if (slot.armed && slot.gen == train.gen()) {
-    slot.cb = std::move(cb);
-    const Time at = entry.at + slot.train.stride;
-    push_entry(EventEntry{at, now_, draw_rank(slot.origin), entry.slot, slot.origin}, false);
-  }
+  release_slot(entry.slot);
+  cb();
   return true;
 }
 

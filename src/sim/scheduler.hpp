@@ -17,19 +17,20 @@ class Timer;
 /// Event-queue implementation behind Scheduler. Both backends honor the
 /// same contract — (time, insertion-sequence) pop order — so the choice is
 /// purely a performance knob: the heap (an indexed 4-ary heap; the name
-/// predates the 4-ary layout) is the robust default, the calendar queue is
-/// O(1) amortized on dense near-uniform event spacings (packet
-/// serializations at line rate).
+/// predates the 4-ary layout) is the default, the calendar queue is O(1)
+/// amortized when event spacings are dense and near-uniform. No measured
+/// workload is that regular: the calendar wins only a synthetic churn loop
+/// (see docs/architecture.md, "Choosing a QueueBackend").
 enum class QueueBackend {
   kBinaryHeap,
   kCalendarQueue,
 };
 
-/// Opaque handle to a scheduled event (or event train), used for
-/// cancellation. Encodes an arena slot index plus a generation counter, so
-/// a handle to a fired/cancelled event can never accidentally cancel the
-/// unrelated event that later reuses its slot. Default constructed handles
-/// are inert (cancel() on them is a no-op).
+/// Opaque handle to a scheduled one-shot event, used for cancellation, or
+/// to a persistent slot. Encodes an arena slot index plus a generation
+/// counter, so a handle to a fired/cancelled event or a removed slot can
+/// never match whatever later reuses its arena slot. Default constructed
+/// handles are inert (cancel() on them is a no-op).
 class EventId {
  public:
   constexpr EventId() = default;
@@ -78,8 +79,8 @@ class EventId {
 ///
 /// It keeps two instances of that heap. sim::Timer wake-ups go to the timer
 /// heap, through an entry point only Timer can call; everything else
-/// (trains, wire heads, one-shots, ticks, flow starts) goes to the event
-/// heap. step() pops the lesser of the two roots, and keys are unique, so
+/// (NIC completions, wire heads, one-shots, ticks, flow starts) goes to the
+/// event heap. step() pops the lesser of the two roots, and keys are unique, so
 /// pop order is that of one queue. The split is for the packet path: on a
 /// 10^4-flow mesh over 99% of the queued entries are RTO and delayed-ACK
 /// wake-ups, which are mostly restarted or disarmed before they pop (1% of
@@ -92,29 +93,34 @@ class EventId {
 ///
 /// step() fuses the pop with the next push (the replace-top of Knuth, TAOCP
 /// vol. 3 §5.2.3): the fired entry stays at the root of its heap as a hole
-/// while its callback runs, and the first push into *that* heap — a train's
-/// next firing, a wire's next head, a TCP send — overwrites the hole and
+/// while its callback runs, and the first push into *that* heap — a NIC's
+/// next completion, a wire's next head, a TCP send — overwrites the hole and
 /// sifts down once, where a pop then a push would sift twice. A push into
 /// the other heap is a plain push. The hole holds the smallest key in its
 /// heap, so no other sift ever moves it. If no push filled it, step() moves
 /// the last leaf into the root after the callback and must leave the hole's
-/// heap_pos_ alone: the fired slot was released before the callback ran,
-/// and the callback may have reused it for an entry in the other heap.
+/// heap_pos_ alone: a fired one-shot's slot was released before the
+/// callback ran, and the callback may have reused it for an entry in the
+/// other heap (a timer's first wake-up, say).
 ///
 /// The calendar backend keeps one queue for everything and removes by
 /// binary search in the entry's sorted bucket — required anyway, because
 /// popping a dead far-future entry would advance the calendar's monotonic
 /// floor past times that are still schedulable.
 ///
-/// Persistent slots serve owners that keep at most one event queued for
-/// their whole life and re-arm it after nearly every firing: a link wire's
-/// next delivery. add_persistent() reserves an arena slot holding a plain
-/// function and its context; arm_persistent() queues it at a given key,
-/// re-keying it if it is already queued, and disarm_persistent() takes it
-/// off the queue, on both backends. The slot is never released and its
-/// handler is called in place, so a firing costs no slot acquire, release
-/// or callback move; re-arming it from its own handler fills the fused
-/// pop's hole like any other push. cancel() refuses a persistent slot.
+/// Persistent slots serve owners that keep at most one event queued at a
+/// time and re-arm it after nearly every firing: a link wire's next
+/// delivery, a NIC's next serialization completion, a sim::Timer's
+/// wake-up. add_persistent() reserves an arena slot holding a plain
+/// function and its context; arm_persistent() queues it at a key the owner
+/// draws, re-keying it if it is already queued, and disarm_persistent()
+/// takes it off the queue, on both backends. The slot is held until
+/// remove_persistent() releases it and its handler is called in place, so
+/// a firing costs no slot acquire, release or callback move; re-arming it
+/// from its own handler fills the fused pop's hole like any other push.
+/// cancel() refuses a persistent slot. Besides persistent slots, the only
+/// way to queue an event is a one-shot: schedule_at/schedule_in, undone by
+/// cancel().
 ///
 /// The frontier is the key of the run's progress, for owners that apply
 /// their own effects lazily (see NetDevice's lazy departures): inside a
@@ -138,42 +144,24 @@ class Scheduler {
   /// Current simulation time. Monotonically non-decreasing.
   [[nodiscard]] Time now() const { return now_; }
 
-  /// Schedule `cb` at absolute time `at` (must be >= now()).
-  EventId schedule_at(Time at, Callback cb) {
-    return arm(at, Time::zero(), 1, std::move(cb), now_, 0);
-  }
+  /// Schedule `cb` at absolute time `at` (must be >= now()), keyed (at,
+  /// birth now(), default stream, draw_rank(0)).
+  EventId schedule_at(Time at, Callback cb);
 
   /// Schedule `cb` after relative delay `delay` (must be >= 0).
   EventId schedule_in(Time delay, Callback cb) {
     return schedule_at(now_ + delay, std::move(cb));
   }
 
-  /// Schedule on the `origin` tie-break stream (birth = now()): the event's
-  /// rank among same-(at, birth) peers is drawn from origin's private
-  /// counter, not the global insertion sequence. Origins label *nodes* in a
-  /// partitioned topology, so the rank is a pure function of the node's
-  /// local transmit history — the same value whether the node's events land
-  /// in one shared scheduler or its own partition's. Origin 0 is the
-  /// default stream used by every un-ranked schedule_* call.
-  EventId schedule_at_ranked(std::uint32_t origin, Time at, Callback cb) {
-    return arm(at, Time::zero(), 1, std::move(cb), now_, origin);
-  }
-
-  /// Schedule with an explicit, externally drawn (origin, rank) pair and
-  /// birth time — the link-wire path. The rank was consumed from the
-  /// sending node's origin counter at transmit time (draw_rank, on the
-  /// *source* scheduler when the link crosses partitions), so it is exactly
-  /// the rank an immediate schedule_at_ranked would have assigned; this
-  /// call does not touch the local counters.
-  EventId schedule_at_imported(std::uint32_t origin, std::uint64_t rank, Time birth,
-                               Time at, Callback cb) {
-    return arm_with_rank(at, Time::zero(), 1, std::move(cb), birth, origin, rank, false);
-  }
-
-  /// Consume and return the next rank of `origin`'s tie-break stream
-  /// without scheduling anything — used by link transmits, which draw the
-  /// rank on the sender's scheduler but arm the delivery later, when it
-  /// heads its wire (schedule_at_imported), possibly on another partition's.
+  /// Consume and return the next rank of `origin`'s tie-break stream: the
+  /// rank of a key an owner arms in its persistent slot. Origins label
+  /// *nodes* in a partitioned topology, so the rank is a pure function of
+  /// the node's local transmit history — the same value whether the node's
+  /// events land in one shared scheduler or its own partition's. Link
+  /// transmits draw it on the sender's scheduler, and the delivery is armed
+  /// later, when it heads its wire, possibly on another partition's. Origin
+  /// 0 is the default stream, which schedule_at draws from. Ranks start at
+  /// 1.
   std::uint64_t draw_rank(std::uint32_t origin) {
     if (origin >= next_rank_.size()) next_rank_.resize(origin + 1, 1);
     return next_rank_[origin]++;
@@ -191,34 +179,29 @@ class Scheduler {
     if (count > next_rank_.size()) next_rank_.resize(count, 1);
   }
 
-  /// Schedule an event *train*: `cb` fires `count` times, at `start`,
-  /// `start + stride`, ... Back-to-back packet serializations at line rate
-  /// are exactly this shape, and a train costs one arena slot and one
-  /// callback for the whole burst — each firing re-enqueues the same entry
-  /// with a fresh insertion sequence drawn at fire time, which makes the
-  /// train byte-identical in pop order to `count` chained schedule_at calls
-  /// (the pattern it replaces). The returned id covers the whole train:
-  /// cancel() stops all remaining firings, including from inside `cb`.
-  EventId schedule_train(Time start, Time stride, std::uint64_t count, Callback cb);
-
-  /// Cancel a pending event or train. Safe to call with an already-fired,
+  /// Cancel a pending one-shot. Safe to call with an already-fired,
   /// already-cancelled, or default-constructed id; returns true iff
   /// something was actually cancelled. A persistent slot is never
   /// cancelled (false); disarm it instead.
   bool cancel(EventId id);
 
   /// Reserve a persistent slot whose firings call `fn(context)` (see the
-  /// class comment). It starts disarmed and lives as long as the scheduler.
-  EventId add_persistent(PersistentFn fn, void* context);
+  /// class comment), queued in the event heap. It starts disarmed and is
+  /// held until remove_persistent(), or for the scheduler's life.
+  EventId add_persistent(PersistentFn fn, void* context) { return add_slot(fn, context, false); }
 
   /// Queue persistent slot `id` at key (at, birth, origin, rank), which the
-  /// caller drew (as for schedule_at_imported), replacing the key it is
-  /// queued at, if any. An armed slot is one pending event.
+  /// caller drew (the rank from draw_rank), replacing the key it is queued
+  /// at, if any. An armed slot is one pending event.
   void arm_persistent(EventId id, std::uint32_t origin, std::uint64_t rank, Time birth,
                       Time at);
 
   /// Take persistent slot `id` off the queue; a no-op when it is not armed.
   void disarm_persistent(EventId id);
+
+  /// Disarm persistent slot `id` and release it to the arena; `id` is dead
+  /// afterwards. May be called from the slot's own handler.
+  void remove_persistent(EventId id);
 
   /// Whether an untagged event keyed (at, birth) comes before the frontier
   /// (see the class comment), i.e. would already have fired. An untagged
@@ -245,31 +228,28 @@ class Scheduler {
   void stop() { stop_requested_ = true; }
 
   [[nodiscard]] bool empty() const { return live_ == 0; }
-  /// Live (pending, uncancelled) events. A train counts as one pending
-  /// event regardless of remaining firings, matching the chained-schedule
-  /// pattern it replaces (which also has exactly one event in flight).
+  /// Live events: pending one-shots plus armed persistent slots.
   [[nodiscard]] std::size_t pending() const { return live_; }
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
-  /// Size of the slot arena (high-water mark of simultaneously-pending
-  /// events). Slots are recycled through a free list, so schedule/cancel
-  /// storms must not grow this; tests assert it.
+  /// Size of the slot arena: the high-water mark of pending one-shots plus
+  /// held persistent slots. One-shot slots are recycled through a free
+  /// list, so schedule/cancel storms must not grow this (tests assert it);
+  /// a persistent slot is held from add_persistent() to
+  /// remove_persistent(), armed or not.
   [[nodiscard]] std::size_t arena_slots() const { return slots_.size(); }
 
   /// Timestamp of the earliest pending event, or Time::infinity() if none.
   /// Inside a callback the firing event is no longer pending: on both
   /// backends this is the earliest of the other queued events in either
-  /// heap, including any the callback has already scheduled. A train's next
-  /// firing is not among them until its callback returns. Cheap enough for
-  /// run_until() to ask before every step: two roots, or a hole's children.
+  /// heap, including any the callback has already scheduled. Cheap enough
+  /// for run_until() to ask before every step: two roots, or a hole's
+  /// children.
   [[nodiscard]] Time next_event_time() const;
 
   /// Queued entries of the active backend, summed over the heap backend's
-  /// event and timer heaps, for tests. A queued entry is a pending event's
-  /// next firing, so this equals pending() except inside a train's
-  /// callback, where the train is pending but its next firing is queued
-  /// only after the callback returns (one less). The root hole (see the
-  /// class comment), in whichever heap it is, is not an entry. A
+  /// event and timer heaps, for tests. It equals pending(): the root hole
+  /// (see the class comment), in whichever heap it is, is not an entry. A
   /// sim::Timer's stale wake-up is a pending event like any other.
   [[nodiscard]] std::size_t queued_entries() const {
     if (backend_ == QueueBackend::kCalendarQueue) return calendar_.size();
@@ -281,53 +261,38 @@ class Scheduler {
 
   using Heap = std::vector<EventEntry>;
 
-  /// heap_pos_ value of a slot whose entry is not in a heap: a free slot,
-  /// any slot under the calendar backend, or a train whose current
-  /// occurrence is mid-flight.
+  /// heap_pos_ value of a slot whose entry is not in a heap: a free or
+  /// disarmed slot, a firing one, or any slot under the calendar backend.
   static constexpr std::uint32_t kNotQueued = 0xFFFF'FFFFu;
 
-  /// Firing count of a one-shot event (remaining == 1) or a train
-  /// (remaining > 1).
-  struct Train {
-    Time stride;
-    std::uint64_t remaining{0};
-  };
   /// A persistent slot's handler.
   struct Handler {
-    PersistentFn fn;
-    void* context;
+    PersistentFn fn{nullptr};
+    void* context{nullptr};
   };
 
-  /// Arena slot: owns the callback and the bookkeeping of one event, train
-  /// or persistent slot. The queued entry's key lives in the queue itself:
+  /// Arena slot: owns the callback and the bookkeeping of one one-shot or
+  /// persistent slot. The queued entry's key lives in the queue itself:
   /// heap_pos_ finds it in the heap `timer` names, calendar_keys_ mirrors
-  /// it for the calendar backend. `armed` means pending for a one-shot or
-  /// a train, queued for a persistent slot.
+  /// it for the calendar backend. `armed` means pending for a one-shot,
+  /// queued for a persistent slot.
   struct Slot {
-    Callback cb;  ///< empty for a persistent slot
-    union {
-      Train train{};    ///< one-shots and trains
-      Handler handler;  ///< persistent slots
-    };
+    Callback cb;        ///< a one-shot's; empty for a persistent slot
+    Handler handler{};  ///< a persistent slot's; fn is null for a one-shot
     std::uint32_t gen{1};
-    std::uint32_t origin{0};
     bool armed{false};
-    bool timer{false};       ///< a sim::Timer wake-up, queued in timer_heap_
-    bool persistent{false};  ///< never released; `handler` is live
+    bool timer{false};  ///< a sim::Timer's wake-up, queued in timer_heap_
+
+    [[nodiscard]] bool persistent() const { return handler.fn != nullptr; }
   };
   static_assert(sizeof(Slot) <= 96, "a 10^4-event run keeps 10^4 slots");
 
-  /// sim::Timer's wake-up: schedule_at_imported on the default stream, but
-  /// queued in the timer heap.
-  EventId schedule_timer_wakeup(std::uint64_t rank, Time birth, Time at, Callback cb) {
-    return arm_with_rank(at, Time::zero(), 1, std::move(cb), birth, 0, rank, true);
-  }
-
-  EventId arm(Time at, Time stride, std::uint64_t count, Callback cb, Time birth,
-              std::uint32_t origin);
-  EventId arm_with_rank(Time at, Time stride, std::uint64_t count, Callback cb, Time birth,
-                        std::uint32_t origin, std::uint64_t rank, bool timer);
+  /// add_persistent, in the timer heap when `timer`; only sim::Timer asks
+  /// for that.
+  EventId add_slot(PersistentFn fn, void* context, bool timer);
   std::uint32_t acquire_slot();
+  /// Free slot `index` for reuse. The caller has taken its entry off the
+  /// queue and counted it out of live_.
   void release_slot(std::uint32_t index);
   void push_entry(const EventEntry& entry, bool timer);
 
@@ -344,8 +309,9 @@ class Scheduler {
   void heap_erase(Heap& heap, std::size_t pos);
   /// Remove the root hole no push filled, as a pop would have. Unlike
   /// heap_erase, it leaves heap_pos_ of the hole's slot alone: that slot
-  /// was released before the callback, which may have queued a new entry
-  /// through it in the other heap.
+  /// may have been released (a one-shot's before its callback, a timer's
+  /// when its handler destroyed the timer), and the callback may have
+  /// queued a new entry through it in the other heap.
   void close_hole();
   /// Time of `heap`'s earliest queued entry, skipping the hole.
   [[nodiscard]] Time earliest(const Heap& heap) const;

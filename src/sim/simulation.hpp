@@ -36,21 +36,6 @@ class Simulation {
   EventId in(Time delay, Scheduler::Callback cb) {
     return scheduler_.schedule_in(delay, std::move(cb));
   }
-  /// Arm with an externally drawn (origin, rank) pair and birth time (see
-  /// Scheduler::schedule_at_imported). Used by link wires, which draw a
-  /// packet's key at transmit (on the source partition, for a
-  /// cross-partition link) but arm it only once the packet heads its wire.
-  EventId at_imported(std::uint32_t origin, std::uint64_t rank, Time birth, Time t,
-                      Scheduler::Callback cb) {
-    return scheduler_.schedule_at_imported(origin, rank, birth, t, std::move(cb));
-  }
-  /// Batched event train: `cb` fires `count` times at `start`,
-  /// `start + stride`, ... — one queue entry and one callback for the whole
-  /// burst (see Scheduler::schedule_train). NetDevice uses this for
-  /// back-to-back packet serializations at line rate.
-  EventId train(Time start, Time stride, std::uint64_t count, Scheduler::Callback cb) {
-    return scheduler_.schedule_train(start, stride, count, std::move(cb));
-  }
   bool cancel(EventId id) { return scheduler_.cancel(id); }
 
   void run() { scheduler_.run(); }

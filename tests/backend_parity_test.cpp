@@ -16,9 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -105,29 +103,6 @@ RunTrace drive(QueueBackend backend, const ParityPlan& plan) {
   }
   trace.probes.push_back(s.next_event_time().nanoseconds_count());
 
-  // Phase 3b: event trains riding through the same window, one of which is
-  // cancelled from inside its own callback mid-flight.
-  for (int t = 0; t < 4; ++t) {
-    const std::size_t label = next_label++;
-    const Time start = s.now() + Time::nanoseconds(static_cast<std::int64_t>(
-                                     rng.next_in(1, 1'000'000)));
-    const Time stride =
-        Time::nanoseconds(static_cast<std::int64_t>(rng.next_in(1, 200'000)));
-    ids.push_back(s.schedule_train(start, stride, 8, [&record, label] { record(label); }));
-  }
-  // A self-cancelling train: the third firing kills the remaining 97.
-  {
-    const std::size_t label = next_label++;
-    auto state = std::make_shared<std::pair<int, EventId>>();  // (firings, own id)
-    state->second = s.schedule_train(
-        s.now() + Time::nanoseconds(500), Time::nanoseconds(77'000), 100,
-        [&record, &trace, &s, label, state] {
-          record(label);
-          if (++state->first == 3) trace.cancel_results.push_back(s.cancel(state->second));
-        });
-  }
-  trace.probes.push_back(s.next_event_time().nanoseconds_count());
-
   // Phase 4: drain.
   s.run();
   trace.final_now = s.now().nanoseconds_count();
@@ -193,12 +168,7 @@ RunTrace drive_timers(QueueBackend backend, const ParityPlan& plan) {
     if (budget == 0) return;
     --budget;
     const std::size_t label = next_label++;
-    if (rng.next_bool(0.1)) {
-      ids.push_back(s.schedule_train(s.now() + soon(), soon(), rng.next_in(2, 5),
-                                     [&packet, label] { packet(label); }));
-    } else {
-      ids.push_back(s.schedule_in(soon(), [&packet, label] { packet(label); }));
-    }
+    ids.push_back(s.schedule_in(soon(), [&packet, label] { packet(label); }));
   };
   packet = [&](std::size_t label) {
     record(label);
@@ -419,84 +389,6 @@ TEST(BackendParityTest, RunUntilInfinityDrainsAndReturns) {
     EXPECT_EQ(s.now(), Time::infinity());
     EXPECT_TRUE(s.empty());
   }
-}
-
-// schedule_train semantics, exercised identically on both backends: firing
-// times, run_until splits mid-train, external cancellation of the remnant,
-// and the pending-count contract (a train is ONE pending event).
-TEST(BackendParityTest, TrainFiresCountTimesAtStride) {
-  for (const auto backend : {QueueBackend::kBinaryHeap, QueueBackend::kCalendarQueue}) {
-    Scheduler s{backend};
-    std::vector<std::int64_t> fire_ns;
-    const EventId id =
-        s.schedule_train(1_ms, 250_us, 5, [&fire_ns, &s] {
-          fire_ns.push_back(s.now().nanoseconds_count());
-        });
-    EXPECT_TRUE(id.valid());
-    EXPECT_EQ(s.pending(), 1u);
-
-    // Split the train across a run_until boundary.
-    s.run_until(Time::microseconds(1'250));
-    EXPECT_EQ(fire_ns.size(), 2u);
-    EXPECT_EQ(s.pending(), 1u);  // remnant still counts as one pending event
-
-    s.run();
-    ASSERT_EQ(fire_ns.size(), 5u);
-    for (std::size_t i = 0; i < 5; ++i) {
-      EXPECT_EQ(fire_ns[i], 1'000'000 + static_cast<std::int64_t>(i) * 250'000);
-    }
-    EXPECT_EQ(s.pending(), 0u);
-    EXPECT_FALSE(s.cancel(id));  // exhausted trains are no longer cancellable
-  }
-}
-
-TEST(BackendParityTest, CancelStopsTrainRemnant) {
-  for (const auto backend : {QueueBackend::kBinaryHeap, QueueBackend::kCalendarQueue}) {
-    Scheduler s{backend};
-    int fires = 0;
-    const EventId id = s.schedule_train(1_ms, 1_ms, 10, [&fires] { ++fires; });
-    s.run_until(3_ms);
-    EXPECT_EQ(fires, 3);
-    EXPECT_TRUE(s.cancel(id));
-    EXPECT_EQ(s.pending(), 0u);
-    s.run();
-    EXPECT_EQ(fires, 3);
-    EXPECT_EQ(s.now(), 3_ms);
-  }
-}
-
-TEST(BackendParityTest, CancelInsideTrainCallbackStopsFutureFirings) {
-  for (const auto backend : {QueueBackend::kBinaryHeap, QueueBackend::kCalendarQueue}) {
-    Scheduler s{backend};
-    auto state = std::make_shared<std::pair<int, EventId>>();
-    bool cancel_result = false;
-    state->second = s.schedule_train(1_ms, 1_ms, 10, [state, &s, &cancel_result] {
-      if (++state->first == 4) cancel_result = s.cancel(state->second);
-    });
-    s.run();
-    EXPECT_EQ(state->first, 4);
-    EXPECT_TRUE(cancel_result);  // the train still had six firings to cancel
-    EXPECT_EQ(s.now(), 4_ms);
-    EXPECT_EQ(s.pending(), 0u);
-  }
-}
-
-TEST(BackendParityTest, TrainValidation) {
-  Scheduler s;
-  // count == 0 is a no-op with an inert id.
-  EXPECT_FALSE(s.schedule_train(1_ms, 1_ms, 0, [] {}).valid());
-  EXPECT_EQ(s.pending(), 0u);
-  EXPECT_THROW(s.schedule_train(1_ms, Time::nanoseconds(-1), 3, [] {}),
-               std::invalid_argument);
-  EXPECT_THROW(s.schedule_train(Time::infinity(), 1_ms, 2, [] {}), std::invalid_argument);
-  EXPECT_THROW(s.schedule_train(1_ms, Time::infinity(), 2, [] {}), std::invalid_argument);
-  // A finite stride whose span would overflow the int64 nanosecond clock
-  // (stride ~4.0e18 ns is representable; the 4th firing at ~1.2e19 is not).
-  EXPECT_THROW(s.schedule_train(1_ms, Time::seconds(4'000'000'000), 4, [] {}),
-               std::invalid_argument);
-  EXPECT_EQ(s.pending(), 0u);
-  // A single firing at infinity is still allowed (matches schedule_at).
-  EXPECT_TRUE(s.schedule_train(Time::infinity(), Time::zero(), 1, [] {}).valid());
 }
 
 TEST(BackendParityTest, SimulationSelectsBackend) {

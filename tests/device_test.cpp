@@ -56,6 +56,41 @@ TEST(NetDeviceTest, SerializesBackToBack) {
   EXPECT_EQ(h.received_at_b[2].uid, 2u);
 }
 
+TEST(NetDeviceTest, FluidShareStretchesTheNextPacketToStart) {
+  // A fluid share set while packets wait applies to each packet as it
+  // starts service: the packet in service keeps its 120 us slot, the next
+  // one gets 120 us / (1 - 0.5) = 240 us.
+  Harness h;
+  std::vector<sim::Time> arrivals;
+  h.b.set_receive_callback(
+      [&arrivals, &h](const Packet&, NetDevice&) { arrivals.push_back(h.sim.now()); });
+  for (std::uint64_t i = 0; i < 4; ++i)
+    ASSERT_EQ(h.a.send(make_packet(1460, i)), NetDevice::TxResult::kQueued);
+  h.sim.at(150_us, [&h] { h.a.set_fluid_share(0.5); });  // after the first completion
+  h.sim.run();
+  ASSERT_EQ(arrivals.size(), 4u);
+  EXPECT_EQ(arrivals[0], 120_us + 1_ms);
+  EXPECT_EQ(arrivals[1], 240_us + 1_ms);  // in service when the share was set
+  EXPECT_EQ(arrivals[2], 480_us + 1_ms);  // one stretched slot later
+  EXPECT_EQ(arrivals[3], 720_us + 1_ms);
+}
+
+TEST(NetDeviceTest, DeliveryTiedWithTheNextCompletionFiresFirst) {
+  // With a link delay of one serialization time, packet k's delivery and
+  // packet k+1's completion tie at (at, birth) on the default stream. The
+  // device re-arms after transmit_from, so the delivery's rank is the
+  // earlier one and it fires first, as the chained completions did.
+  Harness h{DataRate::mbps(100), 10, 120_us};
+  std::vector<std::uint64_t> sent_at_delivery;
+  h.b.set_receive_callback([&sent_at_delivery, &h](const Packet&, NetDevice&) {
+    sent_at_delivery.push_back(h.a.stats().tx_packets);
+  });
+  for (std::uint64_t i = 0; i < 3; ++i)
+    ASSERT_EQ(h.a.send(make_packet(1460, i)), NetDevice::TxResult::kQueued);
+  h.sim.run();
+  EXPECT_EQ(sent_at_delivery, (std::vector<std::uint64_t>{1, 2, 3}));
+}
+
 TEST(NetDeviceTest, RejectsWhenIfqFull) {
   Harness h{DataRate::mbps(100), /*ifq=*/2};
   // First send starts transmitting immediately (dequeued), so the IFQ can

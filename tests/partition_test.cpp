@@ -85,11 +85,11 @@ struct Recorder {
   sim::Simulation* sim{nullptr};
   std::vector<sim::Time> delivered;
 
-  static void deliver(void* self, const std::byte* payload, sim::Time at,
-                      sim::Time staged_at, std::uint32_t origin, std::uint64_t rank) {
-    (void)payload;  // the tag only proves arbitrary payloads ride through
+  // The payload (a tag) only proves arbitrary payloads ride through.
+  static void deliver(void* self, const std::byte* /*payload*/, sim::Time at,
+                      sim::Time /*staged_at*/, std::uint32_t /*origin*/, std::uint64_t /*rank*/) {
     auto* r = static_cast<Recorder*>(self);
-    r->sim->at_imported(origin, rank, staged_at, at, [r, at] { r->delivered.push_back(at); });
+    r->sim->at(at, [r, at] { r->delivered.push_back(at); });
   }
 };
 

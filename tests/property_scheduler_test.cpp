@@ -2,11 +2,10 @@
 // exact (time, insertion) order under both the heap Scheduler and
 // the CalendarQueue, and the two structures must agree item for item.
 // Also covers the allocation-free machinery underneath: slot-arena reuse
-// under reschedule storms, and schedule_train equivalence with chained
-// one-shot scheduling. A lockstep reference model drives every scheduling
-// surface (ranked, imported, trains, sim::Timer wake-ups, cancels from
-// anywhere) against both backends and checks each firing against
-// event_entry_before.
+// under reschedule storms and sim::Timer churn. A lockstep reference model
+// drives both ways to queue an event (one-shots and persistent slots, the
+// latter also as sim::Timer wake-ups), with cancels from anywhere, against
+// both backends and checks each firing against event_entry_before.
 
 #include <gtest/gtest.h>
 
@@ -121,54 +120,33 @@ TEST_P(RandomScheduleTest, RescheduleStormRecyclesArenaSlots) {
   }
 }
 
-// schedule_train must be observationally identical to the chained
-// self-rescheduling pattern it replaces: same firing times, same now() at
-// each firing, same interleaving with independently scheduled events.
-TEST_P(RandomScheduleTest, TrainMatchesChainedScheduling) {
+// sim::Timer churn: flows come and go, and each flow's timer takes its
+// persistent slot at the first arm_in() and releases it when destroyed. The
+// arena must stay at the number of timers alive at once, however many were
+// built, armed, fired and destroyed.
+TEST_P(RandomScheduleTest, TimerChurnKeepsArenaFlat) {
   const auto plan = GetParam();
-  const auto stride = Time::nanoseconds(std::max<std::int64_t>(plan.horizon_ns / 64, 1));
-  const std::uint64_t count = 16;
-
-  struct Firing {
-    std::int64_t at;
-    int label;
-  };
-  const auto run_one = [&](bool use_train) {
-    std::vector<Firing> log;
-    Scheduler s;
-    Rng rng{plan.seed ^ 0x1234};
-    // Background noise events across the train's span.
-    for (std::size_t i = 0; i < plan.events / 4 + 4; ++i) {
-      const Time at = Time::nanoseconds(static_cast<std::int64_t>(rng.next_in(
-          0, static_cast<std::uint64_t>(stride.nanoseconds_count()) * (count + 1))));
-      s.schedule_at(at, [&log, &s] { log.push_back({s.now().nanoseconds_count(), 0}); });
+  constexpr std::size_t kLive = 8;
+  for (const auto backend : {QueueBackend::kBinaryHeap, QueueBackend::kCalendarQueue}) {
+    Rng rng{plan.seed ^ 0x3333};
+    Scheduler s{backend};
+    int fired = 0;
+    std::array<std::optional<Timer>, kLive> timers;
+    for (std::size_t i = 0; i < 4 * plan.events; ++i) {
+      std::optional<Timer>& timer = timers[rng.next_in(0, kLive - 1)];
+      timer.reset();
+      timer.emplace(s, &fired, [](void* count) { ++*static_cast<int*>(count); });
+      for (std::uint64_t arms = rng.next_in(0, 3); arms > 0; --arms) {
+        timer->arm_in(Time::nanoseconds(static_cast<std::int64_t>(rng.next_in(0, 5'000))));
+      }
+      if (rng.next_bool(0.3)) timer->disarm();
+      if (rng.next_bool(0.5)) s.run_until(s.now() + Time::nanoseconds(1'000));
+      ASSERT_LE(s.arena_slots(), kLive) << "after " << i + 1 << " timers";
     }
-    if (use_train) {
-      s.schedule_train(stride, stride, count,
-                       [&log, &s] { log.push_back({s.now().nanoseconds_count(), 1}); });
-    } else {
-      struct Chain {
-        Scheduler* s;
-        std::vector<Firing>* log;
-        Time stride;
-        std::uint64_t left;
-        void operator()() const {
-          log->push_back({s->now().nanoseconds_count(), 1});
-          if (left > 1) s->schedule_in(stride, Chain{s, log, stride, left - 1});
-        }
-      };
-      s.schedule_at(stride, Chain{&s, &log, stride, count});
-    }
-    s.run();
-    return log;
-  };
-
-  const auto train = run_one(true);
-  const auto chain = run_one(false);
-  ASSERT_EQ(train.size(), chain.size());
-  for (std::size_t i = 0; i < train.size(); ++i) {
-    EXPECT_EQ(train[i].at, chain[i].at) << "firing " << i;
-    EXPECT_EQ(train[i].label, chain[i].label) << "firing " << i;
+    EXPECT_GT(fired, 0);
+    for (auto& timer : timers) timer.reset();
+    EXPECT_TRUE(s.empty());
+    EXPECT_EQ(s.queued_entries(), 0u);
   }
 }
 
@@ -250,21 +228,20 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Lockstep reference model: every schedule, cancel and firing is mirrored
 // into a plain vector of live events, and each step() must fire the model's
-// event_entry_before minimum at its time. The script mixes every scheduling
-// surface — untagged, origin-ranked and imported events, trains, and
-// sim::Timer wake-ups, which the heap backend keeps in a heap of their own —
-// with cancels from the middle and the last position of either heap, from
-// inside callbacks, of stale ids, and of a train from inside its own firing
-// (its occurrence is then off the queue, so the cancel must not disturb any
-// queued entry). A callback may also push a tagged event at its own
-// (at, birth), which sorts before the key being fired: the heap's fused pop
-// must let it take the root. Persistent slots are armed, re-keyed and
-// disarmed from the script and from callbacks (with the fired entry's hole
-// open), re-armed from their own firing, and cancel() must refuse them.
-// Between steps the queue must hold exactly the live events; inside a
-// callback, with the fired entry's hole in either heap, queued_entries()
-// and next_event_time() must describe the live events other than the one
-// firing.
+// event_entry_before minimum at its time. The script mixes both ways to
+// queue an event — one-shots (schedule_at) and persistent slots, also as
+// sim::Timer wake-ups, which the heap backend keeps in a heap of their own
+// — with cancels from the middle and the last position of either heap, from
+// inside callbacks, and of stale ids. Persistent slots carry tagged keys
+// (any origin, born now or earlier, as a link wire arms them) and are
+// armed, re-keyed and disarmed from the script and from callbacks (with the
+// fired entry's hole open), re-armed from their own firing, and cancel()
+// must refuse them. A callback may also arm one at its own (at, birth),
+// tagged, which sorts before the key being fired: the heap's fused pop must
+// let it take the root. Between steps the queue must hold exactly the live
+// events; inside a callback, with the fired entry's hole in either heap,
+// queued_entries() and next_event_time() must describe the live events
+// other than the one firing.
 class LockstepModel {
  public:
   LockstepModel(QueueBackend backend, std::uint64_t seed) : s_{backend}, rng_{seed} {
@@ -289,9 +266,8 @@ class LockstepModel {
 
  private:
   static constexpr std::uint32_t kOrigins = 4;
-  static constexpr std::uint64_t kTimerKind = 5;
-  /// The kinds a script or a callback schedules at a random future time.
-  static constexpr std::array<std::uint64_t, 5> kFutureKinds{0, 1, 2, 3, kTimerKind};
+  static constexpr std::uint64_t kOneShotKind = 0;
+  static constexpr std::uint64_t kTimerKind = 1;
 
   /// A sim::Timer armed once; its wake-up is the model's event.
   struct TimerEvent {
@@ -314,14 +290,12 @@ class LockstepModel {
       slot->model->on_fire(slot->label);
     }
   };
-  static constexpr std::size_t kPersistentSlots = 3;
+  static constexpr std::size_t kPersistentSlots = 6;
   static constexpr std::size_t kNotPersistent = kPersistentSlots;
 
   struct Live {
     EventEntry key;  // `slot` holds the event's label
     EventId id;      // invalid for a timer wake-up: the timer owns it
-    Time stride;
-    std::uint64_t remaining;
     TimerEvent* timer{nullptr};
     std::size_t persistent{kNotPersistent};
   };
@@ -335,46 +309,16 @@ class LockstepModel {
 
   void schedule(std::uint64_t kind, Time at) {
     const auto label = next_label_++;
-    const Time birth = s_.now();
-    auto cb = [this, label] { on_fire(label); };
-    Live live{EventEntry{at, birth, 0, label, 0}, EventId{}, Time::zero(), 1};
-    if (kind == 0) {
-      live.key.seq = next_rank_[0]++;
-      live.id = s_.schedule_at(at, cb);
-    } else if (kind == 1) {
-      live.key.origin = static_cast<std::uint32_t>(rng_.next_in(1, kOrigins - 1));
-      live.key.seq = next_rank_[live.key.origin]++;
-      live.id = s_.schedule_at_ranked(live.key.origin, at, cb);
-    } else if (kind == 2) {
-      // A cross-partition delivery: rank drawn up front, born in the past.
-      live.key.origin = static_cast<std::uint32_t>(rng_.next_in(1, kOrigins - 1));
-      live.key.seq = s_.draw_rank(live.key.origin);
-      EXPECT_EQ(live.key.seq, next_rank_[live.key.origin]++);
-      live.key.birth = Time::nanoseconds(
-          static_cast<std::int64_t>(rng_.next_in(0, static_cast<std::uint64_t>(
-                                                        birth.nanoseconds_count()))));
-      live.id = s_.schedule_at_imported(live.key.origin, live.key.seq, live.key.birth, at, cb);
-    } else if (kind == kTimerKind) {
+    Live live{EventEntry{at, s_.now(), next_rank_[0]++, label, 0}, EventId{}};
+    if (kind == kOneShotKind) {
+      live.id = s_.schedule_at(at, [this, label] { on_fire(label); });
+    } else {
       // arm_in on a fresh timer queues the key schedule_at would: birth
       // now, a rank drawn from the default stream.
-      live.key.seq = next_rank_[0]++;
       timers_.push_back(std::make_unique<TimerEvent>(this, label));
       live.timer = timers_.back().get();
       live.timer->timer.emplace(s_, live.timer, &TimerEvent::fire);
       live.timer->timer->arm_in(at - s_.now());
-    } else if (kind == 4) {
-      // From inside a callback: the firing event's own (at, birth), tagged,
-      // so it pops before an untagged fired key would have.
-      live.key.origin = static_cast<std::uint32_t>(rng_.next_in(1, kOrigins - 1));
-      live.key.seq = s_.draw_rank(live.key.origin);
-      EXPECT_EQ(live.key.seq, next_rank_[live.key.origin]++);
-      live.key.birth = in_flight_.key.birth;
-      live.id = s_.schedule_at_imported(live.key.origin, live.key.seq, live.key.birth, at, cb);
-    } else {
-      live.key.seq = next_rank_[0]++;
-      live.stride = Time::nanoseconds(static_cast<std::int64_t>(rng_.next_in(0, 1'500)));
-      live.remaining = rng_.next_in(2, 6);
-      live.id = s_.schedule_train(at, live.stride, live.remaining, cb);
     }
     live_.push_back(live);
   }
@@ -385,17 +329,14 @@ class LockstepModel {
                         [i](const Live& live) { return live.persistent == i; });
   }
 
-  /// Arm (or re-key) persistent slot `i` at a fresh key: any origin, born
-  /// now or earlier, with a rank drawn up front as a link wire does.
-  void arm_persistent(std::size_t i, Time at) {
+  /// Arm (or re-key) persistent slot `i` at (at, birth, origin) and a rank
+  /// drawn up front, as a link wire does.
+  void arm_persistent(std::size_t i, std::uint32_t origin, Time birth, Time at) {
     PersistentSlot& slot = persistent_[i];
     slot.label = next_label_++;
-    const auto origin = static_cast<std::uint32_t>(rng_.next_in(0, kOrigins - 1));
     const std::uint64_t rank = s_.draw_rank(origin);
     EXPECT_EQ(rank, next_rank_[origin]++);
-    const Time birth = Time::nanoseconds(static_cast<std::int64_t>(
-        rng_.next_in(0, static_cast<std::uint64_t>(s_.now().nanoseconds_count()))));
-    Live live{EventEntry{at, birth, rank, slot.label, origin}, slot.id, Time::zero(), 1};
+    Live live{EventEntry{at, birth, rank, slot.label, origin}, slot.id};
     live.persistent = i;
     s_.arm_persistent(slot.id, origin, rank, birth, at);
     if (const auto it = persistent_live(i); it != live_.end()) {
@@ -403,6 +344,14 @@ class LockstepModel {
     } else {
       live_.push_back(live);
     }
+  }
+
+  /// Arm persistent slot `i` at a fresh key: any origin, born now or earlier.
+  void arm_persistent(std::size_t i, Time at) {
+    const auto origin = static_cast<std::uint32_t>(rng_.next_in(0, kOrigins - 1));
+    const Time birth = Time::nanoseconds(static_cast<std::int64_t>(
+        rng_.next_in(0, static_cast<std::uint64_t>(s_.now().nanoseconds_count()))));
+    arm_persistent(i, origin, birth, at);
   }
 
   void persistent_op() {
@@ -442,11 +391,11 @@ class LockstepModel {
     EXPECT_FALSE(s_.cancel(dead_[rng_.next_in(0, dead_.size() - 1)]));
   }
 
-  std::uint64_t future_kind() { return kFutureKinds[rng_.next_in(0, kFutureKinds.size() - 1)]; }
+  std::uint64_t future_kind() { return rng_.next_bool(0.5) ? kOneShotKind : kTimerKind; }
 
   void random_op() {
-    const auto op = rng_.next_in(0, 8);
-    if (op == 8) {
+    const auto op = rng_.next_in(0, 9);
+    if (op >= 8) {
       persistent_op();
     } else if (op <= 4) {
       schedule(future_kind(), near_future());
@@ -454,8 +403,7 @@ class LockstepModel {
       cancel_live(rng_.next_in(0, live_.size() - 1));  // usually mid-queue
     } else if (op == 6) {
       // Latest event in its heap, so it sits at the last position.
-      schedule(rng_.next_bool(0.5) ? 0 : kTimerKind,
-               s_.now() + Time::seconds(1) + Time::nanoseconds(next_label_));
+      schedule(future_kind(), s_.now() + Time::seconds(1) + Time::nanoseconds(next_label_));
       cancel_live(live_.size() - 1);
     } else {
       cancel_stale();
@@ -469,24 +417,13 @@ class LockstepModel {
     in_flight_ = *min;
     *min = live_.back();
     live_.pop_back();
-    in_flight_cancelled_ = false;
     EXPECT_EQ(s_.next_event_time(), in_flight_.key.at);
 
     const std::size_t fired_before = fired_.size();
     EXPECT_TRUE(s_.step());
     EXPECT_EQ(fired_.size(), fired_before + 1) << "expected label " << in_flight_.key.slot;
 
-    if (in_flight_.remaining > 1 && !in_flight_cancelled_) {
-      // The train re-enqueues after its callback returns, drawing its rank
-      // after any the callback drew.
-      Live next = in_flight_;
-      next.key.at = in_flight_.key.at + in_flight_.stride;
-      next.key.birth = s_.now();
-      next.key.seq = next_rank_[0]++;
-      --next.remaining;
-      live_.push_back(next);
-    } else if (!in_flight_cancelled_ && in_flight_.timer == nullptr &&
-               in_flight_.persistent == kNotPersistent) {
+    if (in_flight_.timer == nullptr && in_flight_.persistent == kNotPersistent) {
       dead_.push_back(in_flight_.id);
     }
     EXPECT_EQ(s_.pending(), live_.size());
@@ -498,7 +435,13 @@ class LockstepModel {
     EXPECT_EQ(label, in_flight_.key.slot) << "firing " << fired_.size();
     EXPECT_EQ(s_.now(), in_flight_.key.at);
     check_inside_callback();
-    if (rng_.next_bool(0.1)) schedule(4, s_.now());
+    if (rng_.next_bool(0.1)) {
+      // The firing event's own (at, birth), tagged, so it pops before an
+      // untagged fired key would have.
+      arm_persistent(rng_.next_in(0, kPersistentSlots - 1),
+                     static_cast<std::uint32_t>(rng_.next_in(1, kOrigins - 1)),
+                     in_flight_.key.birth, s_.now());
+    }
     if (in_flight_.persistent != kNotPersistent && rng_.next_bool(0.5)) {
       // Re-armed from its own firing: the push fills the fired entry's hole.
       arm_persistent(in_flight_.persistent, near_future());
@@ -507,26 +450,18 @@ class LockstepModel {
     if (rng_.next_bool(0.3)) schedule(future_kind(), near_future());
     if (rng_.next_bool(0.2) && !live_.empty()) cancel_live(rng_.next_in(0, live_.size() - 1));
     if (rng_.next_bool(0.05)) cancel_stale();
-    if (in_flight_.remaining > 1 && rng_.next_bool(0.2)) {
-      // Self-cancel mid-train; a schedule right after reuses the freed slot,
-      // in either heap, which the train's continuation must not mistake for
-      // itself.
-      EXPECT_TRUE(s_.cancel(in_flight_.id));
-      in_flight_cancelled_ = true;
-      dead_.push_back(in_flight_.id);
-      if (rng_.next_bool(0.5)) schedule(rng_.next_bool(0.5) ? 0 : kTimerKind, near_future());
-    } else if (in_flight_.remaining == 1 && rng_.next_bool(0.2)) {
-      EXPECT_FALSE(s_.cancel(in_flight_.id));  // last firing: nothing left to cancel
+    // The firing event is no longer pending: a one-shot's slot was released
+    // before its callback, and a persistent slot's own cancel() is refused.
+    if (rng_.next_bool(0.2)) {
+      EXPECT_FALSE(s_.cancel(in_flight_.id));
     }
     check_inside_callback();
   }
 
   // The firing event is not queued while its callback runs, on either
-  // backend: a train stays pending, but its next firing is queued only
-  // after the callback returns.
+  // backend.
   void check_inside_callback() {
-    const bool train_continues = in_flight_.remaining > 1 && !in_flight_cancelled_;
-    EXPECT_EQ(s_.pending(), live_.size() + (train_continues ? 1 : 0));
+    EXPECT_EQ(s_.pending(), live_.size());
     EXPECT_EQ(s_.queued_entries(), live_.size());
     Time next = Time::infinity();
     for (const Live& live : live_) next = std::min(next, live.key.at);
@@ -542,7 +477,6 @@ class LockstepModel {
   std::vector<std::unique_ptr<TimerEvent>> timers_;
   std::array<PersistentSlot, kPersistentSlots> persistent_{};
   Live in_flight_{};
-  bool in_flight_cancelled_{false};
   std::uint32_t next_label_{0};
 };
 
@@ -586,6 +520,37 @@ TEST(TwoHeapTest, WakeUpInTheFiredSlotSurvivesTheHoleClose) {
   EXPECT_EQ(later_fired, 1);
   EXPECT_EQ(timer_fired, 0);
   EXPECT_EQ(s.events_executed(), 2u);
+}
+
+// The hole rule the other way round: a timer destroyed by its own handler
+// releases its slot while the slot's entry is the timer heap's hole, and a
+// one-shot the handler schedules next reuses that slot in the event heap.
+// Closing the timer heap's hole must leave the one-shot queued.
+TEST(TwoHeapTest, TimerDestroyedByItsOwnHandlerFreesItsSlot) {
+  using namespace rss::sim::literals;
+  Scheduler s;
+  struct Owner {
+    Scheduler* s;
+    std::optional<Timer> timer{};
+    int later{0};
+  };
+  Owner owner{&s};
+  owner.timer.emplace(s, &owner, [](void* self) {
+    auto* o = static_cast<Owner*>(self);
+    o->timer.reset();
+    o->s->schedule_in(1_ms, [o] { ++o->later; });
+  });
+  owner.timer->arm_in(1_ms);
+  ASSERT_EQ(s.arena_slots(), 1u);
+
+  ASSERT_TRUE(s.step());
+  EXPECT_EQ(s.arena_slots(), 1u) << "the one-shot did not reuse the timer's slot";
+  ASSERT_EQ(s.pending(), 1u);
+  ASSERT_EQ(s.queued_entries(), 1u);
+  EXPECT_EQ(s.next_event_time(), 2_ms);
+  s.run();
+  EXPECT_EQ(owner.later, 1);
+  EXPECT_TRUE(s.empty());
 }
 
 // A persistent slot keeps its arena slot and its id across firings, counts

@@ -206,18 +206,27 @@ TEST(SchedulerTest, CancelLeavesNoDeadEntriesInTheQueue) {
 }
 
 TEST(SchedulerTest, ThrowingCallbackLeavesNoPhantomEvent) {
-  // A callback that throws ends its event: a one-shot has fired, a train
-  // stops there. The queue must then hold exactly the pending events —
-  // with the fired entry's root hole closed — or run_until would spin on a
-  // pending event that nothing queued will ever fire.
+  // A callback that throws ends its event: a one-shot has fired, and a
+  // persistent slot stays disarmed unless its handler re-armed it. The
+  // queue must then hold exactly the pending events — with the fired
+  // entry's root hole closed — or run_until would spin on a pending event
+  // that nothing queued will ever fire.
   for (const auto backend : {QueueBackend::kBinaryHeap, QueueBackend::kCalendarQueue}) {
     SCOPED_TRACE(backend == QueueBackend::kBinaryHeap ? "heap" : "calendar");
-    for (const std::uint64_t count : {1u, 3u}) {
+    for (const bool persistent : {false, true}) {
       for (const bool later_event : {false, true}) {
-        SCOPED_TRACE(::testing::Message() << "count " << count << ", later " << later_event);
+        SCOPED_TRACE(::testing::Message()
+                     << (persistent ? "persistent" : "one-shot") << ", later " << later_event);
         Scheduler s{backend};
         int fired = 0;
-        s.schedule_train(1_us, 1_us, count, [] { throw std::runtime_error{"callback failed"}; });
+        EventId slot{};
+        if (persistent) {
+          slot = s.add_persistent([](void*) { throw std::runtime_error{"handler failed"}; },
+                                  nullptr);
+          s.arm_persistent(slot, 0, s.draw_rank(0), Time::zero(), 1_us);
+        } else {
+          s.schedule_at(1_us, [] { throw std::runtime_error{"callback failed"}; });
+        }
         if (later_event) s.schedule_at(5_us, [&fired] { ++fired; });
         EXPECT_THROW(s.step(), std::runtime_error);
         const std::size_t left = later_event ? 1 : 0;
@@ -229,6 +238,11 @@ TEST(SchedulerTest, ThrowingCallbackLeavesNoPhantomEvent) {
         EXPECT_EQ(fired, later_event ? 1 : 0);
         EXPECT_TRUE(s.empty());
         EXPECT_EQ(s.queued_entries(), 0u);
+        if (persistent) {
+          // Disarmed, but still the owner's: it can be armed again.
+          s.disarm_persistent(slot);
+          EXPECT_TRUE(s.empty());
+        }
       }
     }
   }
@@ -252,15 +266,6 @@ TEST(SchedulerTest, CallbackMayStepTheSchedulerItself) {
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
     EXPECT_EQ(s.queued_entries(), 0u);
   }
-}
-
-TEST(SimulationTest, TrainForwardsToScheduler) {
-  Simulation sim;
-  int fires = 0;
-  sim.train(5_ms, 5_ms, 3, [&fires] { ++fires; });
-  sim.run();
-  EXPECT_EQ(fires, 3);
-  EXPECT_EQ(sim.now(), 15_ms);
 }
 
 TEST(SimulationTest, EveryRepeatsUntilFalse) {

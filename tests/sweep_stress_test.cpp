@@ -34,7 +34,24 @@ std::uint64_t run_mini_simulation(std::size_t point) {
   rss::sim::Scheduler s{point % 2 == 0 ? rss::sim::QueueBackend::kBinaryHeap
                                        : rss::sim::QueueBackend::kCalendarQueue};
   std::uint64_t fired = 0;
-  s.schedule_train(1_us, 3_us, 50 + point % 7, [&fired] { ++fired; });
+  // A persistent slot re-armed from its own firing, 3 us apart, as a NIC
+  // re-arms its completion: 50 + point % 7 firings.
+  struct Burst {
+    rss::sim::Scheduler* s;
+    rss::sim::EventId slot;
+    std::uint64_t* fired;
+    std::uint64_t left;
+    static void fire(void* self) {
+      auto* burst = static_cast<Burst*>(self);
+      ++*burst->fired;
+      if (--burst->left == 0) return;
+      rss::sim::Scheduler& sched = *burst->s;
+      sched.arm_persistent(burst->slot, 0, sched.draw_rank(0), sched.now(), sched.now() + 3_us);
+    }
+  };
+  Burst burst{&s, {}, &fired, 50 + point % 7};
+  burst.slot = s.add_persistent(&Burst::fire, &burst);
+  s.arm_persistent(burst.slot, 0, s.draw_rank(0), s.now(), 1_us);
   for (int i = 0; i < 20; ++i) {
     const auto id = s.schedule_in(rss::sim::Time::microseconds(5 + i), [&fired] { ++fired; });
     if (i % 3 == 0) s.cancel(id);
